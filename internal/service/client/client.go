@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -145,30 +146,45 @@ func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) e
 		}
 	}
 	return c.withRetry(ctx, func() error {
-		var body io.Reader
-		if in != nil {
-			body = bytes.NewReader(data)
-		}
-		req, err := c.newRequest(ctx, method, path, body)
-		if err != nil {
-			return err
-		}
-		if in != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.hc.Do(req)
+		resp, err := c.roundTrip(ctx, method, path, data, "")
 		if err != nil {
 			return err
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			return apiError(resp)
-		}
 		if out == nil {
 			return nil
 		}
 		return json.NewDecoder(resp.Body).Decode(out)
 	})
+}
+
+// roundTrip makes one attempt at a request with an optional JSON body
+// and Accept header, returning the response only when it is 2xx; the
+// caller closes its body.
+func (c *Client) roundTrip(ctx context.Context, method, path string, data []byte, accept string) (*http.Response, error) {
+	var body io.Reader
+	if data != nil {
+		body = bytes.NewReader(data)
+	}
+	req, err := c.newRequest(ctx, method, path, body)
+	if err != nil {
+		return nil, err
+	}
+	if data != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		defer resp.Body.Close()
+		return nil, apiError(resp)
+	}
+	return resp, nil
 }
 
 // Health checks GET /v1/healthz.
@@ -207,93 +223,139 @@ func (c *Client) Status(ctx context.Context, id string) (service.JobStatus, erro
 	return st, err
 }
 
+// SubmitStream posts one job in the streamed form and hands each line
+// of its event stream to fn, the first line included, until the
+// terminal line, whose status it returns. Only the exchange up to the
+// response headers is retried under the client's RetryPolicy: once the
+// server has answered, the job exists. A stream that breaks after the
+// first line returns the last status it carried, so the caller still
+// holds the job ID; a non-nil error from fn stops the stream and is
+// returned as-is.
+func (c *Client) SubmitStream(ctx context.Context, req service.JobRequest, fn func(service.Event) error) (service.JobStatus, error) {
+	data, err := json.Marshal(req)
+	if err != nil {
+		return service.JobStatus{}, err
+	}
+	var resp *http.Response
+	if err := c.withRetry(ctx, func() (err error) {
+		resp, err = c.roundTrip(ctx, http.MethodPost, "/v1/jobs", data, service.NDJSONType)
+		return err
+	}); err != nil {
+		return service.JobStatus{}, err
+	}
+	defer resp.Body.Close()
+	var st service.JobStatus
+	last, err := readEvents(resp.Body, func(ev service.Event) error {
+		if ev.Job != nil {
+			st = *ev.Job
+		}
+		if fn != nil {
+			return fn(ev)
+		}
+		return nil
+	})
+	if err == nil && last.Job == nil {
+		err = errors.New("clusterd: terminal event without the job's status")
+	}
+	return st, err
+}
+
 // Wait blocks until the job reaches a terminal state and returns its
 // final status. It rides the NDJSON events stream (so completion is
-// pushed, not polled); if the stream breaks it falls back to polling.
+// pushed, not polled, and the terminal line carries the status); if
+// the stream breaks it falls back to polling.
 func (c *Client) Wait(ctx context.Context, id string) (service.JobStatus, error) {
-	if err := c.waitEvents(ctx, id); err != nil {
-		if ctx.Err() != nil {
-			return service.JobStatus{}, ctx.Err()
-		}
-		if err := c.pollUntilDone(ctx, id); err != nil {
-			return service.JobStatus{}, err
-		}
+	var last service.Event
+	err := c.StreamEvents(ctx, id, func(ev service.Event) error {
+		last = ev
+		return nil
+	})
+	if err == nil && last.Job != nil {
+		return *last.Job, nil
 	}
-	return c.Status(ctx, id)
+	if ctx.Err() != nil {
+		return service.JobStatus{}, ctx.Err()
+	}
+	return c.pollUntilDone(ctx, id)
 }
 
 // StreamEvents opens the job's NDJSON event stream and hands each
 // event to fn in order. It returns nil once a terminal event (done or
 // failed) has been delivered; a stream that breaks earlier returns the
 // transport error, and a non-nil error from fn stops the stream and is
-// returned as-is. The fleet coordinator proxies replica progress
-// through this.
+// returned as-is.
 func (c *Client) StreamEvents(ctx context.Context, id string, fn func(service.Event) error) error {
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.roundTrip(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil, "")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	_, err = readEvents(resp.Body, fn)
+	return err
+}
+
+// maxEventLine caps one NDJSON line: a terminal line carries the job's
+// full results.
+const maxEventLine = 1 << 20
+
+// readEvents decodes NDJSON event lines from body, handing each to fn,
+// and returns the terminal one. The line buffer starts small and grows
+// only as far as the longest line needs, up to maxEventLine. After the
+// terminal line it reads on to the end of the response, which the
+// server sends right behind it, so the connection goes back to the
+// keep-alive pool instead of being closed.
+func readEvents(body io.Reader, fn func(service.Event) error) (service.Event, error) {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(nil, maxEventLine)
 	for sc.Scan() {
 		var ev service.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return fmt.Errorf("clusterd: bad event line: %w", err)
+			return service.Event{}, fmt.Errorf("clusterd: bad event line: %w", err)
 		}
 		if fn != nil {
 			if err := fn(ev); err != nil {
-				return err
+				return service.Event{}, err
 			}
 		}
 		if ev.State == service.StateDone || ev.State == service.StateFailed {
-			return nil
+			io.CopyN(io.Discard, body, maxEventLine)
+			return ev, nil
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return service.Event{}, fmt.Errorf("clusterd: events stream: %w", err)
 	}
-	return fmt.Errorf("clusterd: events stream for %s ended before a terminal state", id)
-}
-
-// waitEvents consumes the events stream until a terminal line.
-func (c *Client) waitEvents(ctx context.Context, id string) error {
-	return c.StreamEvents(ctx, id, nil)
+	return service.Event{}, errors.New("clusterd: events stream ended before a terminal state")
 }
 
 // pollUntilDone is the degraded-mode wait.
-func (c *Client) pollUntilDone(ctx context.Context, id string) error {
+func (c *Client) pollUntilDone(ctx context.Context, id string) (service.JobStatus, error) {
 	for {
 		st, err := c.Status(ctx, id)
 		if err != nil {
-			return err
+			return service.JobStatus{}, err
 		}
 		if st.State == service.StateDone || st.State == service.StateFailed {
-			return nil
+			return st, nil
 		}
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return service.JobStatus{}, ctx.Err()
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
 }
 
-// Run submits a job and waits for its terminal status — the one-call
-// remote equivalent of runner.Simulate.
+// Run submits a job and waits for its terminal status in one streamed
+// exchange — the remote equivalent of runner.Simulate. If the stream
+// breaks once the job ID is known, it waits on the job instead of
+// submitting it again.
 func (c *Client) Run(ctx context.Context, req service.JobRequest) (service.JobStatus, error) {
-	st, err := c.SubmitJob(ctx, req)
-	if err != nil {
-		return service.JobStatus{}, err
+	st, err := c.SubmitStream(ctx, req, nil)
+	if err != nil && st.ID != "" && ctx.Err() == nil {
+		return c.Wait(ctx, st.ID)
 	}
-	return c.Wait(ctx, st.ID)
+	return st, err
 }
 
 // JobTrace fetches GET /v1/jobs/{id}/trace?format=spans: the job's

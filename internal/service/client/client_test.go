@@ -8,9 +8,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"clustervp/internal/config"
@@ -172,5 +174,51 @@ func TestClientFailedJobSurfacesError(t *testing.T) {
 	}
 	if st.Results != nil {
 		t.Error("failed job carries results")
+	}
+}
+
+// TestRunRecoversFromCutStream: a streamed submit whose stream breaks
+// after its first line is not submitted again; Run waits on the job ID
+// that line carried and returns the final status from the events
+// stream.
+func TestRunRecoversFromCutStream(t *testing.T) {
+	var posts, waits atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		w.Header().Set("Content-Type", service.NDJSONType)
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(service.Event{
+			State: service.StateQueued,
+			Job:   &service.JobStatus{ID: "j-00000007", State: service.StateQueued},
+		})
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler) // cut the connection mid-stream
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		waits.Add(1)
+		if id := r.PathValue("id"); id != "j-00000007" {
+			t.Errorf("waited on %q, want the ID from the first line", id)
+		}
+		json.NewEncoder(w).Encode(service.Event{
+			State: service.StateDone,
+			Job:   &service.JobStatus{ID: "j-00000007", State: service.StateDone, Kernel: "rawcaudio"},
+		})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	st, err := New(ts.URL).Run(context.Background(), service.JobRequest{Kernel: "rawcaudio"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "j-00000007" || st.State != service.StateDone || st.Kernel != "rawcaudio" {
+		t.Errorf("Run after a cut stream = %+v, want the done status from the events stream", st)
+	}
+	if n := posts.Load(); n != 1 {
+		t.Errorf("POSTs = %d, want exactly 1 (the job exists once its ID is known)", n)
+	}
+	if n := waits.Load(); n != 1 {
+		t.Errorf("events requests = %d, want 1", n)
 	}
 }

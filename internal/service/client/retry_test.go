@@ -50,43 +50,70 @@ func newFaultyClient(t *testing.T, policy RetryPolicy) (*Client, *servicetest.Tr
 	return c, tr, slept
 }
 
+// submitters are the two ways a job is submitted: the plain submit and
+// Run's streamed submit. Each retries a failure before the response
+// headers the same way.
+var submitters = []struct {
+	name      string
+	submit    func(*Client, context.Context, service.JobRequest) (service.JobStatus, error)
+	wantState string
+}{
+	{"SubmitJob", (*Client).SubmitJob, service.StateQueued},
+	{"Run", (*Client).Run, service.StateDone},
+}
+
 // TestRetryTransportDrops: two dropped sends, then success, with the
 // exponential schedule recorded exactly.
 func TestRetryTransportDrops(t *testing.T) {
-	c, tr, slept := newFaultyClient(t, RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond})
-	tr.Inject(servicetest.Fault{Method: http.MethodPost, Path: "/v1/jobs", Times: 2, Drop: true})
+	for _, sub := range submitters {
+		t.Run(sub.name, func(t *testing.T) {
+			c, tr, slept := newFaultyClient(t, RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond})
+			tr.Inject(servicetest.Fault{Method: http.MethodPost, Path: "/v1/jobs", Times: 2, Drop: true})
 
-	st, err := c.SubmitJob(context.Background(), service.JobRequest{
-		Machine: config.MachineSpec{Clusters: "2"}, Kernel: "rawcaudio",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ID == "" || st.State != service.StateQueued {
-		t.Fatalf("submit after retries = %+v", st)
-	}
-	if got := tr.Requests(http.MethodPost, "/v1/jobs"); got != 3 {
-		t.Errorf("attempts = %d, want 3 (2 drops + 1 success)", got)
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(*slept) != len(want) || (*slept)[0] != want[0] || (*slept)[1] != want[1] {
-		t.Errorf("backoff schedule = %v, want %v", *slept, want)
+			st, err := sub.submit(c, context.Background(), service.JobRequest{
+				Machine: config.MachineSpec{Clusters: "2"}, Kernel: "rawcaudio",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ID == "" || st.State != sub.wantState {
+				t.Fatalf("submit after retries = %+v", st)
+			}
+			if got := tr.Requests(http.MethodPost, "/v1/jobs"); got != 3 {
+				t.Errorf("attempts = %d, want 3 (2 drops + 1 success)", got)
+			}
+			want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
+			if len(*slept) != len(want) || (*slept)[0] != want[0] || (*slept)[1] != want[1] {
+				t.Errorf("backoff schedule = %v, want %v", *slept, want)
+			}
+		})
 	}
 }
 
 // TestRetryHonorsRetryAfter: a synthesized 503 with Retry-After floors
 // the backoff step at the server's hint.
 func TestRetryHonorsRetryAfter(t *testing.T) {
-	c, tr, slept := newFaultyClient(t, RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond})
-	tr.Inject(servicetest.Fault{Path: "/v1/jobs", Times: 1, Status: http.StatusServiceUnavailable, RetryAfterSec: 2})
+	for _, sub := range submitters {
+		t.Run(sub.name, func(t *testing.T) {
+			c, tr, slept := newFaultyClient(t, RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond})
+			tr.Inject(servicetest.Fault{Path: "/v1/jobs", Times: 1, Status: http.StatusServiceUnavailable, RetryAfterSec: 2})
 
-	if _, err := c.SubmitJob(context.Background(), service.JobRequest{
-		Machine: config.MachineSpec{Clusters: "2"}, Kernel: "rawcaudio",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(*slept) != 1 || (*slept)[0] != 2*time.Second {
-		t.Errorf("slept %v, want the server's 2s Retry-After hint", *slept)
+			st, err := sub.submit(c, context.Background(), service.JobRequest{
+				Machine: config.MachineSpec{Clusters: "2"}, Kernel: "rawcaudio",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != sub.wantState {
+				t.Errorf("submit after a 503 = %+v", st)
+			}
+			if got := tr.Requests(http.MethodPost, "/v1/jobs"); got != 2 {
+				t.Errorf("attempts = %d, want 2 (one 503 + 1 success)", got)
+			}
+			if len(*slept) != 1 || (*slept)[0] != 2*time.Second {
+				t.Errorf("slept %v, want the server's 2s Retry-After hint", *slept)
+			}
+		})
 	}
 }
 
@@ -108,20 +135,24 @@ func TestRetryConnectionReset(t *testing.T) {
 // TestNoRetryOnVerdicts: 4xx replies are never retried — a bad spec
 // stays bad no matter how often it is sent.
 func TestNoRetryOnVerdicts(t *testing.T) {
-	c, tr, slept := newFaultyClient(t, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond})
+	for _, sub := range submitters {
+		t.Run(sub.name, func(t *testing.T) {
+			c, tr, slept := newFaultyClient(t, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond})
 
-	_, err := c.SubmitJob(context.Background(), service.JobRequest{
-		Machine: config.MachineSpec{Clusters: "2"}, Kernel: "no-such-kernel",
-	})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Code != service.CodeInvalidSpec {
-		t.Fatalf("err = %v, want invalid_spec", err)
-	}
-	if got := tr.Requests(http.MethodPost, "/v1/jobs"); got != 1 {
-		t.Errorf("attempts = %d, want 1 (4xx is a verdict)", got)
-	}
-	if len(*slept) != 0 {
-		t.Errorf("slept %v on a non-retriable error", *slept)
+			_, err := sub.submit(c, context.Background(), service.JobRequest{
+				Machine: config.MachineSpec{Clusters: "2"}, Kernel: "no-such-kernel",
+			})
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Code != service.CodeInvalidSpec {
+				t.Fatalf("err = %v, want invalid_spec", err)
+			}
+			if got := tr.Requests("", "/v1/jobs"); got != 1 {
+				t.Errorf("requests = %d, want 1 (4xx is a verdict)", got)
+			}
+			if len(*slept) != 0 {
+				t.Errorf("slept %v on a non-retriable error", *slept)
+			}
+		})
 	}
 }
 

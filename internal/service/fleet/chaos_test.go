@@ -13,7 +13,7 @@ package fleet
 //  3. the coordinator's event stream still emits exactly one terminal
 //     line per job — failover never leaks a premature terminal.
 //
-// The kill is a network kill (CloseClientConnections + Close), the
+// The kill is a network kill (the replica's http.Server.Close), the
 // nearest in-process analogue to SIGKILL: established streams break
 // mid-line and new dials are refused. The victim is not fixed — it is
 // whichever replica starts the fleet's first simulation — so the test
@@ -137,7 +137,12 @@ func TestChaosKillReplicaMidGrid(t *testing.T) {
 	victim.Store(int32(v))
 	victimName := tf.co.replicas[v].name
 	t.Logf("killing %s mid-shard", victimName)
-	tf.servers[v].CloseClientConnections()
+	// http.Server.Close refuses new dials and then closes every
+	// connection the listener ever accepted, one accepted a moment ago
+	// included; httptest's Close then waits for the handlers to return.
+	// A connection left open would carry a stream behind the held shard
+	// that nothing ends, and Close would wait for it forever.
+	tf.servers[v].Config.Close()
 	tf.servers[v].Close()
 	onKilled.Do(func() { close(killed) })
 	onProceed.Do(func() { close(proceed) })

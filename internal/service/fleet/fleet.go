@@ -202,18 +202,22 @@ func (co *Coordinator) shardOf(key string) int {
 
 // Submit validates and admits one job, returning its queued snapshot.
 func (co *Coordinator) Submit(req service.JobRequest) (service.JobStatus, error) {
-	return co.submitTraced(req, nil)
-}
-
-// submitTraced admits one job, parenting its trace under the caller's
-// request span when one exists — this is how a traceparent that arrived
-// on POST /v1/jobs threads through the coordinator into the replica.
-func (co *Coordinator) submitTraced(req service.JobRequest, parent *obs.ActiveSpan) (service.JobStatus, error) {
-	ids, err := co.admit([]service.JobRequest{req}, parent)
+	j, err := co.admitOne(req, nil)
 	if err != nil {
 		return service.JobStatus{}, err
 	}
-	return co.Status(ids[0])
+	return j.status(), nil
+}
+
+// admitOne admits one job, parenting its trace under the caller's
+// request span when one exists — this is how a traceparent that arrived
+// on POST /v1/jobs threads through the coordinator into the replica.
+func (co *Coordinator) admitOne(req service.JobRequest, parent *obs.ActiveSpan) (*fleetJob, error) {
+	jobs, err := co.admit([]service.JobRequest{req}, parent)
+	if err != nil {
+		return nil, err
+	}
+	return jobs[0], nil
 }
 
 // SubmitGrid expands machines × kernels × scales row-major — the exact
@@ -239,12 +243,20 @@ func (co *Coordinator) SubmitGrid(req service.GridRequest) ([]string, error) {
 	}
 	// Grid-expanded jobs each root their own trace (one trace per job);
 	// only a single-job submit continues the caller's trace.
-	return co.admit(reqs, nil)
+	jobs, err := co.admit(reqs, nil)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.id
+	}
+	return ids, nil
 }
 
 // admit validates every request, checks fleet-wide backpressure, and
 // registers + dispatches the batch all-or-nothing.
-func (co *Coordinator) admit(reqs []service.JobRequest, parent *obs.ActiveSpan) ([]string, error) {
+func (co *Coordinator) admit(reqs []service.JobRequest, parent *obs.ActiveSpan) ([]*fleetJob, error) {
 	keys := make([]string, len(reqs))
 	for i, r := range reqs {
 		k, err := shardKey(r)
@@ -267,7 +279,7 @@ func (co *Coordinator) admit(reqs []service.JobRequest, parent *obs.ActiveSpan) 
 		}
 		return nil, service.ErrQueueFull
 	}
-	ids := make([]string, len(reqs))
+	jobs := make([]*fleetJob, len(reqs))
 	for i, r := range reqs {
 		co.nextSeq++
 		j := &fleetJob{
@@ -299,13 +311,13 @@ func (co *Coordinator) admit(reqs []service.JobRequest, parent *obs.ActiveSpan) 
 		co.order = append(co.order, j.id)
 		co.inflight++
 		co.submitted.Add(1)
-		ids[i] = j.id
+		jobs[i] = j
 		co.wg.Add(1)
 		go co.dispatch(j)
 	}
 	co.evictLocked()
-	co.logger.Info("fleet admitted", "jobs", len(ids), "inflight", co.inflight)
-	return ids, nil
+	co.logger.Info("fleet admitted", "jobs", len(jobs), "inflight", co.inflight)
+	return jobs, nil
 }
 
 // evictLocked drops the oldest terminal records past the retention
@@ -409,41 +421,39 @@ func (co *Coordinator) finishInflight() {
 	co.mu.Unlock()
 }
 
-// runOn runs the whole shard lifecycle against one replica: submit,
-// stream events (forwarded verbatim to the job's subscribers), fetch
-// the terminal status. It reports true when the job reached a terminal
-// state — including a *deterministic* simulation failure, which no
-// other replica would decide differently — and false when the replica
-// itself failed and the ring should move on. The dispatch-attempt span
-// rides the context so the replica-bound submit carries a traceparent
-// and the replica's job continues this job's trace.
+// runOn runs the whole shard lifecycle against one replica in one
+// streamed submit: the replica's events are forwarded to the job's
+// subscribers, and its terminal line carries the final status. It
+// reports true when the job reached a terminal state — including a
+// *deterministic* simulation failure, which no other replica would
+// decide differently — and false when the replica itself failed and
+// the ring should move on. The dispatch-attempt span rides the context
+// so the replica-bound submit carries a traceparent and the replica's
+// job continues this job's trace.
 func (co *Coordinator) runOn(r *replica, j *fleetJob, sp *obs.ActiveSpan) (delivered bool) {
 	ctx := obs.NewContext(co.ctx, sp)
-	remote, err := r.c.SubmitJob(ctx, j.req)
-	if err != nil {
-		co.logger.Warn("fleet submit failed", "job", j.id, "replica", r.name, "error", err)
-		return false
-	}
+	// The bracket opens before the send: a replica killed after
+	// admitting the shard but before its first line arrives has
+	// orphaned it all the same.
 	r.started()
 	defer func() { r.finished(delivered) }()
-
-	err = r.c.StreamEvents(ctx, remote.ID, func(ev service.Event) error {
+	st, err := r.c.SubmitStream(ctx, j.req, func(ev service.Event) error {
 		j.observe(ev, r.name)
 		return nil
 	})
 	if err != nil {
+		if st.ID == "" {
+			co.logger.Warn("fleet submit failed", "job", j.id, "replica", r.name, "error", err)
+			return false
+		}
 		// Stream broke before a terminal event: poll once — the job may
 		// have finished during the disconnect; otherwise fail over.
-		st, serr := r.c.Status(ctx, remote.ID)
+		var serr error
+		st, serr = r.c.Status(ctx, st.ID)
 		if serr != nil || (st.State != service.StateDone && st.State != service.StateFailed) {
 			co.logger.Warn("fleet stream broke", "job", j.id, "replica", r.name, "error", err)
 			return false
 		}
-	}
-	st, err := r.c.Status(ctx, remote.ID)
-	if err != nil {
-		co.logger.Warn("fleet status fetch failed", "job", j.id, "replica", r.name, "error", err)
-		return false
 	}
 	switch st.State {
 	case service.StateDone:
@@ -506,6 +516,11 @@ func (j *fleetJob) isTerminal() bool {
 func (j *fleetJob) status() service.JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked is status with j.mu held.
+func (j *fleetJob) statusLocked() service.JobStatus {
 	return service.JobStatus{
 		ID:          j.id,
 		State:       j.state,
@@ -527,11 +542,14 @@ func (j *fleetJob) status() service.JobStatus {
 // observe forwards one replica event to subscribers, tracking the
 // running transition. Terminal events are NOT forwarded here — the
 // terminal broadcast happens exactly once in complete/fail, so a
-// failover cannot leak a premature terminal line.
+// failover cannot leak a premature terminal line. The replica's own
+// job status is dropped: the coordinator's lines carry the
+// coordinator's.
 func (j *fleetJob) observe(ev service.Event, replica string) {
 	if ev.State == service.StateDone || ev.State == service.StateFailed {
 		return
 	}
+	ev.Job = nil
 	j.mu.Lock()
 	if j.state == service.StateQueued && ev.State == service.StateRunning {
 		j.state = service.StateRunning
@@ -597,13 +615,19 @@ func (j *fleetJob) fail(msg, replica string) {
 }
 
 // subscribe registers for events and returns the channel plus the
-// current snapshot-as-event.
-func (j *fleetJob) subscribe() (chan service.Event, service.Event) {
+// current snapshot-as-event; withStatus puts the job's status on the
+// snapshot even when the job is not yet terminal.
+func (j *fleetJob) subscribe(withStatus bool) (chan service.Event, service.Event) {
 	ch := make(chan service.Event, 16)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.subs[ch] = struct{}{}
-	return ch, j.snapshotEventLocked()
+	ev := j.snapshotEventLocked()
+	if withStatus && ev.Job == nil {
+		st := j.statusLocked()
+		ev.Job = &st
+	}
+	return ch, ev
 }
 
 func (j *fleetJob) unsubscribe(ch chan service.Event) {
@@ -612,8 +636,9 @@ func (j *fleetJob) unsubscribe(ch chan service.Event) {
 	delete(j.subs, ch)
 }
 
-// snapshotEventLocked renders the current state as one event line.
-// Synthesized lines carry the coordinator-side trace id; forwarded
+// snapshotEventLocked renders the current state as one event line; a
+// terminal line carries the final status. Synthesized lines carry the
+// coordinator-side trace id; forwarded
 // replica progress already carries the same id, because the replica's
 // job continued this trace over the dispatch hop.
 func (j *fleetJob) snapshotEventLocked() service.Event {
@@ -623,10 +648,9 @@ func (j *fleetJob) snapshotEventLocked() service.Event {
 			return j.last
 		}
 		return service.Event{State: service.StateRunning, TraceID: j.traceID}
-	case service.StateDone:
-		return service.Event{State: service.StateDone, TraceID: j.traceID}
-	case service.StateFailed:
-		return service.Event{State: service.StateFailed, Error: j.errMsg, TraceID: j.traceID}
+	case service.StateDone, service.StateFailed:
+		st := j.statusLocked()
+		return service.Event{State: j.state, Error: j.errMsg, TraceID: j.traceID, Job: &st}
 	default:
 		return service.Event{State: service.StateQueued, TraceID: j.traceID}
 	}
@@ -636,8 +660,5 @@ func (j *fleetJob) snapshotEventLocked() service.Event {
 func (j *fleetJob) terminalEvent() service.Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == service.StateFailed {
-		return service.Event{State: service.StateFailed, Error: j.errMsg, TraceID: j.traceID}
-	}
-	return service.Event{State: service.StateDone, TraceID: j.traceID}
+	return j.snapshotEventLocked()
 }

@@ -70,7 +70,8 @@ func (r *replica) health() replicaHealth {
 	return r.state
 }
 
-// started/finished bracket one shard's residence on the replica.
+// started/finished bracket one dispatch attempt on the replica, from
+// the send to the terminal line or the failure.
 func (r *replica) started() {
 	r.mu.Lock()
 	r.inflight++

@@ -6,9 +6,12 @@ package fleet
 // coordinator unchanged:
 //
 //	POST /v1/jobs             admit one job                -> 202 JobStatus
+//	                          (Accept: application/x-ndjson -> 202 events
+//	                          stream of the job, as below)
 //	POST /v1/grids            admit a grid all-or-nothing  -> 202 {"jobs": [ids]}
 //	GET  /v1/jobs/{id}        status + results JSON (replica-attributed)
-//	GET  /v1/jobs/{id}/events NDJSON: queued → running (+progress) → done|failed
+//	GET  /v1/jobs/{id}/events NDJSON: queued → running (+progress) → done|failed,
+//	                          the terminal line carrying the final JobStatus
 //	GET  /v1/jobs/{id}/trace  merged span timeline: coordinator spans + every
 //	                          replica's spans for the job's trace id
 //	                          (?format=chrome|spans, like the single box)
@@ -22,6 +25,8 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -158,27 +163,40 @@ func (co *Coordinator) envelopeFallback(next http.Handler) http.Handler {
 	})
 }
 
+// decodeBody maps decode failures the way the single box does: an
+// oversized body is 413 payload_too_large, anything else 400 with the
+// decoder's reason (an unknown field names itself).
 func decodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return service.ErrBadRequest
+		var maxErr *http.MaxBytesError
+		if errors.As(err, &maxErr) {
+			return fmt.Errorf("%w: body exceeds %d bytes", service.ErrPayloadTooLarge, maxErr.Limit)
+		}
+		return fmt.Errorf("%w: body: %v", service.ErrBadRequest, err)
 	}
 	return nil
 }
 
+// handleSubmitJob admits one job; like the single box, a caller that
+// accepts NDJSON gets the job's event stream in the same exchange.
 func (co *Coordinator) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req service.JobRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
-	st, err := co.submitTraced(req, obs.FromContext(r.Context()))
+	j, err := co.admitOne(req, obs.FromContext(r.Context()))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	if service.WantsEvents(r) {
+		writeEvents(w, r, http.StatusAccepted, j, true)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, j.status())
 }
 
 func (co *Coordinator) handleSubmitGrid(w http.ResponseWriter, r *http.Request) {
@@ -216,8 +234,17 @@ func (co *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, service.ErrNoSuchJob)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	writeEvents(w, r, http.StatusOK, j, false)
+}
+
+// writeEvents streams j's events as NDJSON until its terminal line or
+// the client going away; withStatus puts the job's status on the first
+// line, and the terminal line always carries the final status.
+func writeEvents(w http.ResponseWriter, r *http.Request, code int, j *fleetJob, withStatus bool) {
+	ch, snap := j.subscribe(withStatus)
+	defer j.unsubscribe(ch)
+	w.Header().Set("Content-Type", service.NDJSONType)
+	w.WriteHeader(code)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	emit := func(ev service.Event) bool {
@@ -230,8 +257,6 @@ func (co *Coordinator) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	ch, snap := j.subscribe()
-	defer j.unsubscribe(ch)
 	if !emit(snap) {
 		return
 	}

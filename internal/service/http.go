@@ -3,9 +3,12 @@ package service
 // The HTTP surface of the job server. Endpoints:
 //
 //	POST /v1/jobs             submit one job            -> 202 JobStatus
+//	                          (Accept: application/x-ndjson -> 202 events
+//	                          stream of the job, as below)
 //	POST /v1/grids            submit a machine×kernel×scale grid -> 202 {"jobs": [ids]}
 //	GET  /v1/jobs/{id}        status + stats.Results JSON (tenant-scoped)
-//	GET  /v1/jobs/{id}/events NDJSON stream: queued → running (+progress) → done|failed
+//	GET  /v1/jobs/{id}/events NDJSON stream: queued → running (+progress) → done|failed,
+//	                          the terminal line carrying the final JobStatus
 //	GET  /v1/jobs/{id}/trace  span timeline (?format=chrome|spans, tenant-scoped)
 //	GET  /v1/tracez           recent finished spans across all traces
 //	POST /v1/traces           upload a .cvt trace       -> 201 {"digest", "records"}
@@ -319,19 +322,27 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
+// handleSubmitJob admits one job. A caller that accepts NDJSON gets the
+// job's event stream in the same exchange, its first line carrying the
+// job's status; admission failures are still plain error envelopes,
+// written before any stream byte.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
-	st, err := s.submitAs(s.tenantOf(r), req, obs.FromContext(r.Context()))
+	j, st, err := s.submitAs(s.tenantOf(r), req, obs.FromContext(r.Context()))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	ri := infoFrom(r.Context())
 	ri.jobID = st.ID
+	if WantsEvents(r) {
+		writeEvents(w, r, http.StatusAccepted, j, true)
+		return
+	}
 	writeJSON(w, http.StatusAccepted, st)
 }
 
@@ -362,10 +373,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.status())
 }
 
-// handleJobEvents streams job lifecycle and progress as NDJSON until
-// the job reaches a terminal state or the client goes away. The first
-// line is always the current snapshot, so a late subscriber of a done
-// job still gets exactly one meaningful line.
+// handleJobEvents streams job lifecycle and progress as NDJSON.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookupFor(s.tenantOf(r), r.PathValue("id"))
 	if !ok {
@@ -375,8 +383,29 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	ri := infoFrom(r.Context())
 	ri.jobID = j.id
 	ri.fp = j.fp
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+	writeEvents(w, r, http.StatusOK, j, false)
+}
+
+// NDJSONType is the media type of an events stream; a POST /v1/jobs
+// that accepts it is answered with the job's events.
+const NDJSONType = "application/x-ndjson"
+
+// WantsEvents reports whether a job submission asked for the streamed
+// form.
+func WantsEvents(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), NDJSONType)
+}
+
+// writeEvents streams j's lifecycle and progress as NDJSON until the
+// job reaches a terminal state or the client goes away. The first line
+// is always the current snapshot, so a late subscriber of a done job
+// still gets exactly one meaningful line; withStatus puts the job's
+// status on it. The terminal line carries the final status.
+func writeEvents(w http.ResponseWriter, r *http.Request, code int, j *job, withStatus bool) {
+	ch, snap := j.subscribe(withStatus)
+	defer j.unsubscribe(ch)
+	w.Header().Set("Content-Type", NDJSONType)
+	w.WriteHeader(code)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	emit := func(ev Event) bool {
@@ -389,8 +418,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	ch, snap := j.subscribe()
-	defer j.unsubscribe(ch)
 	if !emit(snap) {
 		return
 	}

@@ -134,8 +134,9 @@ type JobStatus struct {
 	Results *stats.Results `json:"results,omitempty"`
 }
 
-// Event is one NDJSON line of GET /v1/jobs/{id}/events: a state
-// transition or a periodic progress snapshot of the running simulation.
+// Event is one NDJSON line of GET /v1/jobs/{id}/events or of a
+// streamed POST /v1/jobs: a state transition or a periodic progress
+// snapshot of the running simulation.
 type Event struct {
 	State        string  `json:"state"`
 	Cycles       int64   `json:"cycles,omitempty"`
@@ -145,6 +146,10 @@ type Event struct {
 	// TraceID is the job's trace id, on every event line, so a stream
 	// consumer can jump from events to the span timeline.
 	TraceID string `json:"trace_id,omitempty"`
+	// Job is the job's full status on the terminal line (the JSON GET
+	// /v1/jobs/{id} returns at that moment) and on the first line of a
+	// streamed submit, which is how its caller learns the job ID.
+	Job *JobStatus `json:"job,omitempty"`
 }
 
 // QueueStats is the queue/worker section of statsz.
@@ -453,28 +458,31 @@ func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
 // returning its status snapshot. HTTP submissions go through submitAs
 // with the authenticated tenant instead.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
-	return s.submitAs(s.anonymous, req, nil)
+	_, st, err := s.submitAs(s.anonymous, req, nil)
+	return st, err
 }
 
 // submitAs validates and enqueues one job for a tenant, enforcing its
-// quotas at admission. A non-nil parent span (the HTTP request span)
+// quotas at admission, and returns the job with its status at
+// admission (still queued: no worker can pop it before s.mu is
+// released). A non-nil parent span (the HTTP request span)
 // roots the job's trace under the caller's — so a coordinator-
 // dispatched job shares the coordinator's trace id.
-func (s *Server) submitAs(t *tenantState, req JobRequest, parent *obs.ActiveSpan) (JobStatus, error) {
+func (s *Server) submitAs(t *tenantState, req JobRequest, parent *obs.ActiveSpan) (*job, JobStatus, error) {
 	rjob, err := s.buildJob(req)
 	if err != nil {
-		return JobStatus{}, err
+		return nil, JobStatus{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.admitLocked(t, 1); err != nil {
-		return JobStatus{}, err
+		return nil, JobStatus{}, err
 	}
 	j := s.enqueueLocked(t, req, rjob, parent)
 	s.logger.Info("job submitted",
 		"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "priority", j.priority,
 		"trace_id", j.traceID)
-	return j.status(), nil
+	return j, j.status(), nil
 }
 
 // SubmitGrid expands the grid row-major and enqueues every job
@@ -865,6 +873,11 @@ type job struct {
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked is status with j.mu held.
+func (j *job) statusLocked() JobStatus {
 	tenant := ""
 	if j.tenant != nil {
 		tenant = j.tenant.cfg.Name
@@ -949,12 +962,17 @@ func (j *job) broadcastLocked(ev Event) {
 }
 
 // subscribe attaches an event channel and returns it with the current
-// state snapshot.
-func (j *job) subscribe() (chan Event, Event) {
+// state snapshot; withStatus puts the job's status on the snapshot
+// even when the job is not yet terminal.
+func (j *job) subscribe(withStatus bool) (chan Event, Event) {
 	ch := make(chan Event, 32)
 	j.mu.Lock()
 	j.subs[ch] = struct{}{}
 	snap := j.snapshotEventLocked()
+	if withStatus && snap.Job == nil {
+		st := j.statusLocked()
+		snap.Job = &st
+	}
 	j.mu.Unlock()
 	return ch, snap
 }
@@ -965,7 +983,8 @@ func (j *job) unsubscribe(ch chan Event) {
 	j.mu.Unlock()
 }
 
-// snapshotEventLocked renders the job's current state as one event.
+// snapshotEventLocked renders the job's current state as one event; a
+// terminal one carries the final status.
 func (j *job) snapshotEventLocked() Event {
 	ev := Event{State: j.state, Error: j.errMsg, TraceID: j.traceID}
 	switch {
@@ -977,6 +996,10 @@ func (j *job) snapshotEventLocked() Event {
 		ev.Cycles = j.lastProg.Cycle
 		ev.Instructions = j.lastProg.Instructions
 		ev.IPC = j.lastProg.IPC()
+	}
+	if j.state == StateDone || j.state == StateFailed {
+		st := j.statusLocked()
+		ev.Job = &st
 	}
 	return ev
 }

@@ -415,7 +415,7 @@ func TestEventsStreamProgress(t *testing.T) {
 		subs:     make(map[chan Event]struct{}),
 		terminal: make(chan struct{}),
 	}
-	ch, snap := j.subscribe()
+	ch, snap := j.subscribe(false)
 	defer j.unsubscribe(ch)
 	if snap.State != StateQueued {
 		t.Fatalf("snapshot state %q, want queued", snap.State)
