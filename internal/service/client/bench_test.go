@@ -6,7 +6,6 @@ package client
 import (
 	"context"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 
 	"clustervp/internal/config"
@@ -32,29 +31,6 @@ func warmMemoServer(tb testing.TB) (*Client, service.JobRequest) {
 		tb.Fatalf("warm-up run: state=%q err=%v", st.State, err)
 	}
 	return c, req
-}
-
-// TestRunMemoAllocBound: a memo-hit Run allocates, client and server
-// together, a small multiple of its payload, not a line buffer sized
-// for the largest possible event.
-func TestRunMemoAllocBound(t *testing.T) {
-	c, req := warmMemoServer(t)
-	ctx := context.Background()
-	const calls = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < calls; i++ {
-		st, err := c.Run(ctx, req)
-		if err != nil || st.State != service.StateDone {
-			t.Fatalf("memo run %d: state=%q err=%v", i, st.State, err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
-	t.Logf("%d bytes allocated per memo-hit Run", perCall)
-	if perCall >= 64<<10 {
-		t.Errorf("a memo-hit Run allocates %d bytes, want under 64 KiB", perCall)
-	}
 }
 
 // BenchmarkClientRunMemo times one memo-hit Run against a warm server
