@@ -342,7 +342,8 @@ type Config struct {
 
 	// VP selects the value predictor; VPTableEntries sizes the stride
 	// table (§4.3). VPCoverFP extends prediction to FP operands (an
-	// extension; the paper's predictor covers integers only, §3.3).
+	// extension; the paper's predictor covers integers only, §3.3); it
+	// is valid with the stride and perfect predictors only.
 	VP             VPKind
 	VPTableEntries int
 	VPCoverFP      bool
@@ -441,6 +442,11 @@ func (c Config) Validate() error {
 	}
 	if (c.VP == VPStride || c.VP == VPTwoDelta) && (c.VPTableEntries <= 0 || c.VPTableEntries&(c.VPTableEntries-1) != 0) {
 		return fmt.Errorf("config %s: VP table entries must be a power of two", c.Name)
+	}
+	// Only the stride and perfect predictors have an FP path; accepting
+	// the flag elsewhere would change the fingerprint, not the result.
+	if c.VPCoverFP && c.VP != VPStride && c.VP != VPPerfect {
+		return fmt.Errorf("config %s: VPCoverFP needs VP stride or perfect, not %s", c.Name, c.VP)
 	}
 	return nil
 }

@@ -98,12 +98,24 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 		mk(func(c *Config) { c.CommPaths = -1 }),
 		mk(func(c *Config) { c.DCachePorts = 0 }),
 		mk(func(c *Config) { c.VP = VPStride; c.VPTableEntries = 100 }),
+		mk(func(c *Config) { c.VP = VPTwoDelta; c.VPCoverFP = true }),
+		mk(func(c *Config) { c.VP = VPNone; c.VPCoverFP = true }),
 		mk(func(c *Config) { c.Clusters[0].PhysRegs = 4 }),
 		mk(func(c *Config) { c.Topology = interconnect.Kind(99) }),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d passed validation", i)
+		}
+	}
+	// TwoDelta has no FP path: the flag would be silently ignored.
+	err := mk(func(c *Config) { c.VP = VPTwoDelta; c.VPCoverFP = true }).Validate()
+	if err == nil || !strings.Contains(err.Error(), "VPCoverFP") {
+		t.Errorf("VPCoverFP with twodelta: err = %v, want one naming VPCoverFP", err)
+	}
+	for _, vp := range []VPKind{VPStride, VPPerfect} {
+		if err := mk(func(c *Config) { c.VP = vp; c.VPCoverFP = true }).Validate(); err != nil {
+			t.Errorf("VPCoverFP with %s must validate: %v", vp, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -91,4 +92,61 @@ func requireTyped(t *testing.T, err error) {
 		}
 	}
 	t.Fatalf("untyped decode error: %v", err)
+}
+
+// memOpSize is the encoded size of one FuzzMemory operation: a kind
+// byte (mod 4: Load8, Store8, Load64, Store64), then the address and
+// the store value as little-endian uint64s.
+const memOpSize = 17
+
+// FuzzMemory checks the demand-grown Memory against a dense 16 MiB
+// reference image with the same wrap (addr & (MemSize-1)) and top clamp
+// (an 8-byte access ends at MemSize): every load must agree. dataLen
+// sizes the program data image, a fixed non-zero pattern; ops is a
+// sequence of memOpSize-byte operations. Run it with
+//
+//	go test -fuzz=FuzzMemory ./internal/trace
+//
+// The seed corpus in testdata/fuzz/FuzzMemory covers address 0; the
+// bytes one below, at and one above the initial image end; unaligned
+// words straddling that end, over a zero and over a full data image;
+// every address from MemSize-8 to MemSize-1; and MemSize+8, which
+// wraps to 8.
+func FuzzMemory(f *testing.F) {
+	f.Fuzz(func(t *testing.T, dataLen uint32, ops []byte) {
+		data := make([]byte, dataLen%(300<<10))
+		for i := range data {
+			data[i] = byte(i*7 + 1)
+		}
+		m := trace.NewMemory(data)
+		ref := make([]byte, trace.MemSize)
+		copy(ref, data)
+		word := func(addr uint64) []byte {
+			a := addr & (trace.MemSize - 1)
+			if a+8 > trace.MemSize {
+				a = trace.MemSize - 8
+			}
+			return ref[a : a+8]
+		}
+		for ; len(ops) >= memOpSize; ops = ops[memOpSize:] {
+			addr := binary.LittleEndian.Uint64(ops[1:])
+			v := binary.LittleEndian.Uint64(ops[9:])
+			switch ops[0] % 4 {
+			case 0:
+				if got, want := m.Load8(addr), ref[addr&(trace.MemSize-1)]; got != want {
+					t.Fatalf("Load8(%#x) = %#x, reference %#x", addr, got, want)
+				}
+			case 1:
+				m.Store8(addr, byte(v))
+				ref[addr&(trace.MemSize-1)] = byte(v)
+			case 2:
+				if got, want := m.Load64(addr), binary.LittleEndian.Uint64(word(addr)); got != want {
+					t.Fatalf("Load64(%#x) = %#x, reference %#x", addr, got, want)
+				}
+			case 3:
+				m.Store64(addr, v)
+				binary.LittleEndian.PutUint64(word(addr), v)
+			}
+		}
+	})
 }

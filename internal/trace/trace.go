@@ -59,48 +59,88 @@ type Executor struct {
 	err  error
 }
 
-// MemSize is the size of the flat data memory image (16 MiB).
+// MemSize is the size of the data address space (16 MiB): addresses
+// wrap modulo MemSize, and an 8-byte access is clamped to end at it.
+// It bounds the memory image, but is not what a Memory allocates.
 const MemSize = 1 << 24
 
-// Memory is a flat byte-addressable data memory.
+// minMemImage is the smallest image a Memory allocates.
+const minMemImage = 64 << 10
+
+// Memory is a flat byte-addressable data memory. Its image covers the
+// bottom of the address space only as far as accesses have reached:
+// it starts at the program's data image, rounded up to a power of two,
+// and doubles (up to MemSize) when an access reaches past its end.
+// Bytes never written read as zero either way.
 type Memory struct {
 	bytes []byte
 }
 
 // NewMemory builds a Memory initialized from the program's data image.
 func NewMemory(data []byte) *Memory {
-	m := &Memory{bytes: make([]byte, MemSize)}
+	n := minMemImage
+	for n < len(data) && n < MemSize {
+		n *= 2
+	}
+	m := &Memory{bytes: make([]byte, n)}
 	copy(m.bytes, data)
 	return m
 }
 
-// Load64 reads the 64-bit little-endian word at addr.
-func (m *Memory) Load64(addr uint64) uint64 {
+// word returns the 8-byte span an access at addr touches: the address
+// wrapped into the address space and clamped to end at MemSize, with
+// the image grown to cover it.
+func (m *Memory) word(addr uint64) []byte {
 	a := addr & (MemSize - 1)
 	if a+8 > MemSize {
 		a = MemSize - 8
 	}
-	b := m.bytes[a : a+8]
+	if a+8 > uint64(len(m.bytes)) {
+		m.grow(a + 8)
+	}
+	return m.bytes[a : a+8]
+}
+
+// grow doubles the image until it holds end bytes.
+func (m *Memory) grow(end uint64) {
+	n := uint64(len(m.bytes))
+	for n < end {
+		n *= 2
+	}
+	b := make([]byte, n)
+	copy(b, m.bytes)
+	m.bytes = b
+}
+
+// Load64 reads the 64-bit little-endian word at addr.
+func (m *Memory) Load64(addr uint64) uint64 {
+	b := m.word(addr)
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 // Store64 writes the 64-bit little-endian word v at addr.
 func (m *Memory) Store64(addr, v uint64) {
-	a := addr & (MemSize - 1)
-	if a+8 > MemSize {
-		a = MemSize - 8
-	}
-	b := m.bytes[a : a+8]
+	b := m.word(addr)
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
 }
 
 // Load8 reads the byte at addr.
-func (m *Memory) Load8(addr uint64) byte { return m.bytes[addr&(MemSize-1)] }
+func (m *Memory) Load8(addr uint64) byte { return *m.byteAt(addr) }
 
 // Store8 writes the byte v at addr.
-func (m *Memory) Store8(addr uint64, v byte) { m.bytes[addr&(MemSize-1)] = v }
+func (m *Memory) Store8(addr uint64, v byte) { *m.byteAt(addr) = v }
+
+// byteAt returns the image byte at addr, wrapped into the address
+// space, growing the image to cover it.
+func (m *Memory) byteAt(addr uint64) *byte {
+	a := addr & (MemSize - 1)
+	if a >= uint64(len(m.bytes)) {
+		m.grow(a + 1)
+	}
+	return &m.bytes[a]
+}
 
 // NewExecutor prepares a functional executor for prog.
 func NewExecutor(prog *program.Program) *Executor {

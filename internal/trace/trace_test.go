@@ -139,6 +139,19 @@ func TestMemoryRoundTrip(t *testing.T) {
 	if got := m.Load64(8); got != 42 {
 		t.Errorf("wrapped store: got %d", got)
 	}
+	// An unaligned word straddling the initial image end grows the
+	// image and reads back whole; the bytes past it read as written.
+	end := uint64(len(NewMemory(nil).bytes))
+	m.Store64(end-3, 0x0102030405060708)
+	if got := m.Load64(end - 3); got != 0x0102030405060708 {
+		t.Errorf("straddling load64 = %#x", got)
+	}
+	if got := m.Load8(end); got != 0x05 {
+		t.Errorf("first byte past the initial end = %#x, want 0x05", got)
+	}
+	if got := m.Load64(end + 8); got != 0 {
+		t.Errorf("never-written word past the initial end = %#x, want 0", got)
+	}
 }
 
 func TestMemoryProperty(t *testing.T) {

@@ -10,7 +10,7 @@ package vpred
 // effective predictors".
 type TwoDelta struct {
 	table   []tdEntry
-	mask    int
+	mask    int // configured entries - 1; storage grows as in Stride
 	stats   Stats
 	confMax uint8
 }
@@ -28,11 +28,11 @@ func NewTwoDelta(entries int) *TwoDelta {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("vpred: table entries must be a positive power of two")
 	}
-	return &TwoDelta{table: make([]tdEntry, entries), mask: entries - 1, confMax: 3}
+	return &TwoDelta{table: make([]tdEntry, min(entries, initTableEntries)), mask: entries - 1, confMax: 3}
 }
 
-// Entries returns the table capacity.
-func (t *TwoDelta) Entries() int { return len(t.table) }
+// Entries returns the configured table size.
+func (t *TwoDelta) Entries() int { return t.mask + 1 }
 
 // PredictAndTrain implements Predictor.
 func (t *TwoDelta) PredictAndTrain(pc, opIdx int, isFP bool, actual uint64) (uint64, bool, bool) {
@@ -40,7 +40,11 @@ func (t *TwoDelta) PredictAndTrain(pc, opIdx int, isFP bool, actual uint64) (uin
 		return 0, false, false
 	}
 	t.stats.Lookups++
-	e := &t.table[(pc<<1|opIdx&1)&t.mask]
+	i := (pc<<1 | opIdx&1) & t.mask
+	if i >= len(t.table) {
+		t.table = grown(t.table, i)
+	}
+	e := &t.table[i]
 	pred := e.last + uint64(e.s1)
 	confident := e.conf > 2
 	correct := pred == actual

@@ -75,10 +75,13 @@ type entry struct {
 // Stride is the paper's stride predictor. The table is direct-mapped and
 // untagged: with 128K entries aliasing is negligible (the paper's "very
 // large table" case), and shrinking the table naturally reproduces the
-// Figure 5 degradation through destructive aliasing.
+// Figure 5 degradation through destructive aliasing. Storage grows with
+// the entries touched — a kernel of a few hundred static instructions
+// never pays for 128K — while the index mask, and so aliasing, is that
+// of the configured size.
 type Stride struct {
 	table   []entry
-	mask    int
+	mask    int // configured entries - 1; len(table) may be smaller
 	stats   Stats
 	confMax uint8
 	// CoverFP extends prediction to floating-point operands (raw IEEE
@@ -96,13 +99,34 @@ func NewStride(entries int) *Stride {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("vpred: table entries must be a positive power of two")
 	}
-	return &Stride{table: make([]entry, entries), mask: entries - 1, confMax: 3}
+	return &Stride{table: make([]entry, min(entries, initTableEntries)), mask: entries - 1, confMax: 3}
 }
 
-func (s *Stride) index(pc, opIdx int) int {
+// initTableEntries is the storage a table starts with when configured
+// larger; it covers every PC of a program under 512 instructions.
+const initTableEntries = 1024
+
+// grown returns table doubled until it covers index i. New entries are
+// zero, exactly as an untouched entry of a full-size table.
+func grown[E any](table []E, i int) []E {
+	n := len(table)
+	for n <= i {
+		n *= 2
+	}
+	t := make([]E, n)
+	copy(t, table)
+	return t
+}
+
+// at returns the table entry for operand opIdx of the instruction at pc.
+func (s *Stride) at(pc, opIdx int) *entry {
 	// PC and operand order jointly index the table (§2.2). The operand
 	// bit lands in the low bit, like doubling the table width.
-	return (pc<<1 | opIdx&1) & s.mask
+	i := (pc<<1 | opIdx&1) & s.mask
+	if i >= len(s.table) {
+		s.table = grown(s.table, i)
+	}
+	return &s.table[i]
 }
 
 // PredictAndTrain implements Predictor with the classic stride update: if
@@ -113,7 +137,7 @@ func (s *Stride) PredictAndTrain(pc, opIdx int, isFP bool, actual uint64) (uint6
 		return 0, false, false
 	}
 	s.stats.Lookups++
-	e := &s.table[s.index(pc, opIdx)]
+	e := s.at(pc, opIdx)
 	pred := e.last + uint64(e.stride)
 	confident := e.conf > 2
 	correct := pred == actual
@@ -141,8 +165,8 @@ func (s *Stride) PredictAndTrain(pc, opIdx int, isFP bool, actual uint64) (uint6
 // Stats implements Predictor.
 func (s *Stride) Stats() Stats { return s.stats }
 
-// Entries returns the table capacity.
-func (s *Stride) Entries() int { return len(s.table) }
+// Entries returns the configured table size.
+func (s *Stride) Entries() int { return s.mask + 1 }
 
 // Perfect predicts every integer operand correctly — the Figure 3 upper
 // bound. FP operands remain unpredicted (unless CoverFP is set, an
