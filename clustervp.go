@@ -162,8 +162,8 @@ func BuildKernelSeeded(name string, scale int, seed uint64) (*program.Program, e
 // WriteKernelTrace functionally executes a kernel and streams its
 // dynamic instruction trace into a .cvt file at path, returning the
 // number of records written. The file replays through RunTraceFile,
-// clustersim -trace-in, or a grid Job's Trace field, producing results
-// bit-identical to in-process synthesis.
+// clustersim -trace-in or a grid Job's Trace field — all one engine
+// path — producing results bit-identical to in-process synthesis.
 func WriteKernelTrace(path, kernel string, scale int, seed uint64) (uint64, error) {
 	prog, err := workload.Build(kernel, scale, seed)
 	if err != nil {
@@ -172,68 +172,14 @@ func WriteKernelTrace(path, kernel string, scale int, seed uint64) (uint64, erro
 	return trace.WriteFile(path, prog.Name, prog.Code, trace.NewExecutor(prog))
 }
 
-// RunTraceFile simulates a pre-recorded .cvt trace under cfg, streaming
-// it from disk through the synchronous reference reader — the trace
-// never needs to fit in memory. RunTraceFileInMemory and
-// RunTraceFilePipelined replay the same file through the decode-once
-// and decode-ahead paths; all three produce byte-identical Results.
+// RunTraceFile simulates a pre-recorded .cvt trace under cfg through
+// the grid engine's replay path: the first replay of a distinct trace
+// decodes it once into the process-wide trace arena, later replays run
+// from that decoded form, and a trace past the arena's budget streams
+// from disk instead, so it never needs to fit in memory. Every path
+// produces byte-identical Results.
 func RunTraceFile(cfg Config, path string) (Results, error) {
-	fr, err := trace.OpenFile(path)
-	if err != nil {
-		return Results{}, err
-	}
-	defer fr.Close()
-	sim, err := core.DefaultPool.Get(cfg, fr, fr.Name())
-	if err != nil {
-		return Results{}, err
-	}
-	defer core.DefaultPool.Put(sim)
-	return sim.Run()
-}
-
-// RunTraceFileInMemory decodes the whole .cvt file into the columnar
-// in-memory form up front (validating every CRC), then replays it with
-// a zero-allocation cursor. This is the replay mode the grid engine's
-// trace arena uses for traces within its byte budget.
-func RunTraceFileInMemory(cfg Config, path string) (Results, error) {
-	fr, err := trace.OpenFile(path)
-	if err != nil {
-		return Results{}, err
-	}
-	mt, err := trace.ReadMem(fr.Reader)
-	cerr := fr.Close()
-	if err != nil {
-		return Results{}, err
-	}
-	if cerr != nil {
-		return Results{}, cerr
-	}
-	sim, err := core.DefaultPool.Get(cfg, mt.NewCursor(), mt.Name())
-	if err != nil {
-		return Results{}, err
-	}
-	defer core.DefaultPool.Put(sim)
-	return sim.Run()
-}
-
-// RunTraceFilePipelined streams the .cvt file through the decode-ahead
-// reader, overlapping CRC and varint-delta decoding with simulation.
-// This is the replay mode the grid engine uses for traces its arena
-// does not hold.
-func RunTraceFilePipelined(cfg Config, path string) (Results, error) {
-	fr, err := trace.OpenFile(path)
-	if err != nil {
-		return Results{}, err
-	}
-	defer fr.Close()
-	p := trace.NewPipelined(fr.Reader)
-	defer p.Close()
-	sim, err := core.DefaultPool.Get(cfg, p, p.Name())
-	if err != nil {
-		return Results{}, err
-	}
-	defer core.DefaultPool.Put(sim)
-	return sim.Run()
+	return runner.Simulate(runner.Job{Config: cfg, Trace: path})
 }
 
 // MaterializeTraces writes each distinct workload among the jobs to a
@@ -247,11 +193,7 @@ func MaterializeTraces(dir string, jobs []Job) ([]Job, error) {
 // Run simulates one suite kernel under cfg at the given workload scale
 // (1 = tens of thousands of dynamic instructions).
 func Run(cfg Config, kernel string, scale int) (Results, error) {
-	prog, err := BuildKernel(kernel, scale)
-	if err != nil {
-		return Results{}, err
-	}
-	return RunProgram(cfg, prog)
+	return runner.Simulate(runner.Job{Config: cfg, Kernel: kernel, Scale: scale})
 }
 
 // RunProgram simulates an arbitrary assembled program under cfg. The

@@ -14,19 +14,18 @@ import (
 // per-cluster state — so a heterogeneous grid still reuses within each
 // shape. Reuse is an optimization only: a pooled Sim's Reset restores
 // every field to its NewFromSource state, so results are byte-identical
-// with or without the pool (asserted by TestSimulatePoolingDeterminism
+// with or without the pool (asserted by TestSimulatePoolArenaDeterminism
 // in internal/runner).
 type Pool struct {
 	mu   sync.Mutex
 	free map[int][]*Sim
 }
 
-// NewPool returns an empty pool. The zero Pool is not usable; callers
-// that want opt-out simply pass a nil *Pool to code that accepts one.
+// NewPool returns an empty pool. The zero Pool is not usable.
 func NewPool() *Pool { return &Pool{free: make(map[int][]*Sim)} }
 
-// DefaultPool is the process-wide pool used by the package-level runner
-// entry points (runner.Simulate and the service engine behind it).
+// DefaultPool is the process-wide pool every runner simulation (grid
+// engine, clusterd service) and clustervp.RunProgram draw from.
 var DefaultPool = NewPool()
 
 // Get returns a Sim bound to cfg and src, reusing a pooled instance of

@@ -134,7 +134,7 @@ func TestDirStoreContract(t *testing.T) {
 }
 
 // TestSharedDirConcurrentPublish is the fleet arrangement in miniature:
-// several DiskCaches (distinct handles, as replicas would hold) over
+// several on-disk caches (distinct handles, as replicas would hold) over
 // ONE directory, concurrently publishing and reading the same
 // fingerprints. Every hit must decode to the exact results some writer
 // published — the CRC framing plus atomic rename make a torn or mixed
@@ -143,12 +143,9 @@ func TestSharedDirConcurrentPublish(t *testing.T) {
 	dir := t.TempDir()
 	const replicas, rounds, fps = 3, 25, 4
 
-	caches := make([]*DiskCache, replicas)
+	caches := make([]*BlobCache, replicas)
 	for i := range caches {
-		c, err := NewDiskCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c, _ := newDirCache(t, dir)
 		caches[i] = c
 	}
 
@@ -156,7 +153,7 @@ func TestSharedDirConcurrentPublish(t *testing.T) {
 	errs := make(chan error, replicas*rounds*fps)
 	for r, c := range caches {
 		wg.Add(1)
-		go func(r int, c *DiskCache) {
+		go func(r int, c *BlobCache) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				for k := 0; k < fps; k++ {
@@ -191,10 +188,7 @@ func TestSharedDirConcurrentPublish(t *testing.T) {
 
 	// After the dust settles every key decodes cleanly on a fresh
 	// handle, and no temp files leaked.
-	fresh, err := NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh, _ := newDirCache(t, dir)
 	for k := 0; k < fps; k++ {
 		fp := fmt.Sprintf("fp-%d", k)
 		if res, err := fresh.Load(fp); err != nil || res.Cycles != int64(1000+k) {

@@ -10,9 +10,9 @@ package runner
 // version, CRC — so a corrupt or truncated entry is detected and
 // treated as a miss, never returned, the same typed-error discipline
 // internal/trace applies to .cvt files) over any BlobStore backend.
-// DiskCache is BlobCache over a local DirStore — the single-box
-// default, and the shared-directory backend fleet replicas use today;
-// an object-store BlobStore slots in without touching the framing.
+// A local DirStore is the single-box default, and the shared-directory
+// backend fleet replicas use today; an object-store BlobStore slots in
+// without touching the framing.
 
 import (
 	"crypto/sha256"
@@ -168,32 +168,4 @@ func (c *BlobCache) Put(fingerprint string, res stats.Results) error {
 	return c.store.Put(cacheKey(fingerprint), buf)
 }
 
-// DiskCache is the BlobCache over a local directory (DirStore) — the
-// reference backend, shared across processes and replicas via the
-// filesystem.
-type DiskCache struct {
-	*BlobCache
-	dir *DirStore
-}
-
-// NewDiskCache opens (creating if needed) a result cache rooted at dir.
-func NewDiskCache(dir string) (*DiskCache, error) {
-	store, err := NewDirStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &DiskCache{BlobCache: NewBlobCache(store), dir: store}, nil
-}
-
-// Dir returns the cache root.
-func (c *DiskCache) Dir() string { return c.dir.Dir() }
-
-// EntryPath is the file an entry for the fingerprint lives at.
-func (c *DiskCache) EntryPath(fingerprint string) string {
-	return c.dir.Path(cacheKey(fingerprint))
-}
-
-var (
-	_ ResultCache = (*BlobCache)(nil)
-	_ ResultCache = (*DiskCache)(nil)
-)
+var _ ResultCache = (*BlobCache)(nil)

@@ -30,11 +30,20 @@ func testResults(cycles int64) stats.Results {
 	}
 }
 
-func TestDiskCacheRoundTrip(t *testing.T) {
-	c, err := NewDiskCache(t.TempDir())
+// newDirCache opens the on-disk result cache: a BlobCache over a
+// DirStore rooted at dir. Tests reach an entry's file through
+// store.Path(cacheKey(fp)).
+func newDirCache(t testing.TB, dir string) (*BlobCache, *DirStore) {
+	t.Helper()
+	store, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return NewBlobCache(store), store
+}
+
+func TestDiskCacheRoundTrip(t *testing.T) {
+	c, _ := newDirCache(t, t.TempDir())
 	want := testResults(1234)
 	if _, ok := c.Get("fp1"); ok {
 		t.Fatal("empty cache reported a hit")
@@ -88,14 +97,11 @@ func TestDiskCacheCorruptionIsMiss(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewDiskCache(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
+			c, store := newDirCache(t, t.TempDir())
 			if err := c.Put("fp", testResults(42)); err != nil {
 				t.Fatal(err)
 			}
-			path := c.EntryPath("fp")
+			path := store.Path(cacheKey("fp"))
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -117,19 +123,16 @@ func TestDiskCacheCorruptionIsMiss(t *testing.T) {
 // disagrees with the requested key (hash collision, or a stray file) is
 // corruption, not a hit.
 func TestDiskCacheFingerprintMismatch(t *testing.T) {
-	c, err := NewDiskCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, store := newDirCache(t, t.TempDir())
 	if err := c.Put("other", testResults(7)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(c.EntryPath("other"))
+	data, err := os.ReadFile(store.Path(cacheKey("other")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Plant the well-formed entry for "other" at the path for "fp".
-	if err := os.WriteFile(c.EntryPath("fp"), data, 0o666); err != nil {
+	if err := os.WriteFile(store.Path(cacheKey("fp")), data, 0o666); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get("fp"); ok {
@@ -143,10 +146,7 @@ func TestDiskCacheFingerprintMismatch(t *testing.T) {
 // TestDiskCacheMissingIsNotExist pins the Load taxonomy: absent entries
 // report os.ErrNotExist, distinct from corruption.
 func TestDiskCacheMissingIsNotExist(t *testing.T) {
-	c, err := NewDiskCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _ := newDirCache(t, t.TempDir())
 	if _, err := c.Load("nope"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("Load of a missing entry = %v, want os.ErrNotExist", err)
 	}
@@ -179,10 +179,7 @@ func cacheTestJobs() []Job {
 // rewritten in place.
 func TestEnginePersistentCache(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache, store := newDirCache(t, dir)
 	jobs := cacheTestJobs()
 
 	var cold int64
@@ -219,7 +216,7 @@ func TestEnginePersistentCache(t *testing.T) {
 	// Corrupt one entry: the next engine re-simulates exactly that job
 	// and rewrites the entry so a fourth engine hits again.
 	fp := jobs[1].Fingerprint()
-	path := cache.EntryPath(fp)
+	path := store.Path(cacheKey(fp))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -245,10 +242,7 @@ func TestEnginePersistentCache(t *testing.T) {
 // never written to the persistent cache — a transient failure must not
 // poison future processes.
 func TestEngineCacheSkipsFailedJobs(t *testing.T) {
-	cache, err := NewDiskCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache, _ := newDirCache(t, t.TempDir())
 	var calls int64
 	boom := errors.New("boom")
 	e := New(Options{Workers: 1, Cache: cache, Run: func(j Job) (stats.Results, error) {

@@ -196,20 +196,6 @@ type Options struct {
 	// worker. Put failures are counted (CachePutErrors) but never fail
 	// the job — a full disk degrades the cache, not the grid.
 	Cache ResultCache
-	// ArenaBytes selects the decoded-trace arena for this engine's
-	// default simulator: 0 shares the process-wide arena
-	// (DefaultArenaBudget), a negative value disables arena decoding
-	// (every trace job streams via the pipelined reader), and a positive
-	// value gives the engine a private arena with that byte budget.
-	// Ignored when Run is set.
-	ArenaBytes int64
-	// NoSimPool disables simulator reuse for this engine's default
-	// simulator: every job constructs a fresh Sim instead of drawing
-	// from the process-wide pool. Results are identical either way —
-	// the pool is purely an allocation optimization — so this exists
-	// for A/B measurement and as an escape hatch. Ignored when Run is
-	// set.
-	NoSimPool bool
 }
 
 // entry is one memo slot; ready closes once res/err are set, so
@@ -260,17 +246,7 @@ func New(opts Options) *Engine {
 	}
 	run := opts.Run
 	if run == nil {
-		arena := defaultArena
-		if opts.ArenaBytes < 0 {
-			arena = nil
-		} else if opts.ArenaBytes > 0 {
-			arena = trace.NewArena(opts.ArenaBytes)
-		}
-		pool := core.DefaultPool
-		if opts.NoSimPool {
-			pool = nil
-		}
-		run = func(j Job) (stats.Results, error) { return simulate(j, 0, nil, arena, pool) }
+		run = Simulate
 	}
 	return &Engine{
 		workers:  w,
@@ -400,11 +376,11 @@ func (e *Engine) Snapshot() []Result {
 	return out
 }
 
-// DefaultArenaBudget bounds the process-wide decoded-trace arena shared
-// by the package-level Simulate path (and thus the clusterd service):
-// distinct trace digests are decoded into the columnar in-memory form
-// until this many bytes are resident; everything past the budget stays
-// on the pipelined streaming path.
+// DefaultArenaBudget bounds the process-wide decoded-trace arena every
+// default simulation replays through (grid engines, the clusterd
+// service, clustervp.RunTraceFile): distinct trace digests are decoded
+// into the columnar in-memory form until this many bytes are resident;
+// everything past the budget stays on the pipelined streaming path.
 const DefaultArenaBudget int64 = 256 << 20
 
 var defaultArena = trace.NewArena(DefaultArenaBudget)
@@ -412,38 +388,36 @@ var defaultArena = trace.NewArena(DefaultArenaBudget)
 // openTraceSource resolves the replay Source for a .cvt file. In order
 // of preference: a Cursor over the arena-resident decoded form (decoded
 // once per distinct content digest, shared read-only by every job), a
-// fresh decode admitted to the arena, or — when the arena is nil, full,
-// or the trace does not fit — a pipelined streaming Reader that
-// overlaps decode with simulation. All three yield byte-identical
-// record streams. It returns the source, the trace's header name, the
+// fresh decode admitted to the arena, or — when the arena is full or
+// the trace does not fit — a pipelined streaming Reader that overlaps
+// decode with simulation. All three yield byte-identical record
+// streams. It returns the source, the trace's header name, the
 // materialization mode ("arena", "decode" or "stream" — span
 // attribute material for the tracing layer), and a close func (nil
 // when nothing needs closing).
 func openTraceSource(path string, arena *trace.Arena) (trace.Source, string, string, func() error, error) {
-	if arena != nil {
-		key := traceDigest(path)
-		if mt := arena.Get(key); mt != nil {
-			return mt.NewCursor(), mt.Name(), SourceArena, nil, nil
+	key := traceDigest(path)
+	if mt := arena.Get(key); mt != nil {
+		return mt.NewCursor(), mt.Name(), SourceArena, nil, nil
+	}
+	if budget := arena.Remaining(); budget > 0 {
+		fr, err := trace.OpenFile(path)
+		if err != nil {
+			return nil, "", "", nil, err
 		}
-		if budget := arena.Remaining(); budget > 0 {
-			fr, err := trace.OpenFile(path)
-			if err != nil {
-				return nil, "", "", nil, err
-			}
-			mt, derr := trace.ReadMemCapped(fr.Reader, budget)
-			cerr := fr.Close()
-			if derr == nil && cerr == nil {
-				// Concurrent decodes of one digest can race here; the
-				// loser's work is wasted but the shared survivor is
-				// identical, so results never depend on who won.
-				arena.Add(key, mt)
-				return mt.NewCursor(), mt.Name(), SourceDecode, nil, nil
-			}
-			if derr != nil && !errors.Is(derr, trace.ErrNoMemForm) {
-				return nil, "", "", nil, derr
-			}
-			// Over budget: stream instead.
+		mt, derr := trace.ReadMemCapped(fr.Reader, budget)
+		cerr := fr.Close()
+		if derr == nil && cerr == nil {
+			// Concurrent decodes of one digest can race here; the
+			// loser's work is wasted but the shared survivor is
+			// identical, so results never depend on who won.
+			arena.Add(key, mt)
+			return mt.NewCursor(), mt.Name(), SourceDecode, nil, nil
 		}
+		if derr != nil && !errors.Is(derr, trace.ErrNoMemForm) {
+			return nil, "", "", nil, derr
+		}
+		// Over budget: stream instead.
 	}
 	fr, err := trace.OpenFile(path)
 	if err != nil {
@@ -471,13 +445,12 @@ const (
 )
 
 // newSim builds the timing simulator for a job — replaying a .cvt
-// trace file when one is named, otherwise synthesizing the kernel
-// in-process — and returns the materialization mode (Source*) plus
-// the cleanup to run after simulation (nil when nothing needs
-// closing). A non-nil pool supplies a recycled Sim (returned to the
-// pool by the cleanup); a non-nil arena supplies decoded trace
-// sharing.
-func newSim(j Job, arena *trace.Arena, pool *core.Pool) (*core.Sim, string, func() error, error) {
+// trace file through arena when one is named, otherwise synthesizing
+// the kernel in-process — on a Sim drawn from core.DefaultPool. It
+// returns the materialization mode (Source*) plus the cleanup to run
+// after simulation, which closes the source and returns the Sim to
+// the pool.
+func newSim(j Job, arena *trace.Arena) (*core.Sim, string, func() error, error) {
 	var (
 		src     trace.Source
 		name    string
@@ -503,13 +476,7 @@ func newSim(j Job, arena *trace.Arena, pool *core.Pool) (*core.Sim, string, func
 		name = prog.Name
 		mode = SourceSynth
 	}
-	var sim *core.Sim
-	var err error
-	if pool != nil {
-		sim, err = pool.Get(j.Config, src, name)
-	} else {
-		sim, err = core.NewFromSource(j.Config, src, name)
-	}
+	sim, err := core.DefaultPool.Get(j.Config, src, name)
 	if err != nil {
 		if closeFn != nil {
 			closeFn()
@@ -521,47 +488,32 @@ func newSim(j Job, arena *trace.Arena, pool *core.Pool) (*core.Sim, string, func
 		if closeFn != nil {
 			cerr = closeFn()
 		}
-		if pool != nil {
-			pool.Put(sim)
-		}
+		core.DefaultPool.Put(sim)
 		return cerr
 	}
 	return sim, mode, cleanup, nil
 }
 
-// simulate runs one job through the timing simulator with the given
-// trace arena and Sim pool (either may be nil to opt out).
-func simulate(j Job, every int64, fn func(core.Progress), arena *trace.Arena, pool *core.Pool) (stats.Results, error) {
-	sim, _, cleanup, err := newSim(j, arena, pool)
-	if err != nil {
-		return stats.Results{}, err
-	}
-	if cleanup != nil {
-		defer cleanup()
-	}
-	if fn != nil {
-		sim.SetProgress(every, fn)
-	}
-	return sim.Run()
-}
-
-// warmupProbeInterval is the progress period simulateTraced falls back
-// to when the caller wants no progress events: frequent enough to end
-// the sim.warmup span near the first commit, rare enough to stay
+// warmupProbeInterval is the progress period a traced simulation falls
+// back to when the caller wants no progress events: frequent enough to
+// end the sim.warmup span near the first commit, rare enough to stay
 // invisible in the cycle loop.
 const warmupProbeInterval = 10_000
 
-// simulateTraced is simulate with span instrumentation: a
+// simulate runs one job through the timing simulator, replaying traces
+// through arena. fn, when non-nil, receives a progress snapshot every
+// `every` cycles. A non-nil parent adds span instrumentation: a
 // sim.materialize child covering trace-source setup (attributed with
 // the Source* mode), and a sim.run child covering the simulation
 // itself, with a sim.warmup sub-span ended at the first progress
 // snapshot that shows committed instructions and the coarse
 // phase-cycle split (core.Sim.PhaseCycles) attached as attributes.
-// Spans start and end outside the cycle loop; the only per-cycle cost
-// is the phase counters core maintains unconditionally.
-func simulateTraced(j Job, every int64, fn func(core.Progress), arena *trace.Arena, pool *core.Pool, parent *obs.ActiveSpan) (stats.Results, error) {
+// Spans start and end outside the cycle loop; with a nil parent the
+// span calls are nil no-ops, and no callback is installed unless fn is
+// set.
+func simulate(j Job, every int64, fn func(core.Progress), parent *obs.ActiveSpan, arena *trace.Arena) (stats.Results, error) {
 	mat := parent.StartChild("sim.materialize")
-	sim, mode, cleanup, err := newSim(j, arena, pool)
+	sim, mode, cleanup, err := newSim(j, arena)
 	mat.SetAttr("source", mode)
 	if j.Trace != "" {
 		mat.SetAttr("trace", j.Trace)
@@ -570,8 +522,10 @@ func simulateTraced(j Job, every int64, fn func(core.Progress), arena *trace.Are
 	if err != nil {
 		return stats.Results{}, err
 	}
-	if cleanup != nil {
-		defer cleanup()
+	defer cleanup()
+	if parent == nil {
+		sim.SetProgress(every, fn)
+		return sim.Run()
 	}
 
 	run := parent.StartChild("sim.run")
@@ -613,31 +567,19 @@ func simulateTraced(j Job, every int64, fn func(core.Progress), arena *trace.Are
 // Simulate is the default Run function: stream the job's dynamic
 // instructions — from a .cvt trace file when one is named, otherwise
 // from an in-process functional execution of the kernel — through the
-// timing simulator (the same path as clustervp.Run). It uses the
-// process-wide Sim pool and decoded-trace arena; both are allocation
-// optimizations only, with results byte-identical to cold construction
-// and streaming decode (TestSimulatePoolArenaDeterminism).
-func Simulate(j Job) (stats.Results, error) {
-	return simulate(j, 0, nil, defaultArena, core.DefaultPool)
-}
+// timing simulator. It uses the process-wide Sim pool and decoded-trace
+// arena; both are allocation optimizations only, with results
+// byte-identical to cold construction over a plain reader
+// (TestSimulatePoolArenaDeterminism).
+func Simulate(j Job) (stats.Results, error) { return simulate(j, 0, nil, nil, defaultArena) }
 
-// SimulateWithProgress is Simulate with a periodic progress callback:
-// fn fires from the simulation goroutine every `every` cycles with the
-// current cycle and committed-instruction counts (the clusterd service
-// streams these as job events). A non-positive interval or nil fn runs
-// without progress.
-func SimulateWithProgress(j Job, every int64, fn func(core.Progress)) (stats.Results, error) {
-	return simulate(j, every, fn, defaultArena, core.DefaultPool)
-}
-
-// SimulateTraced is SimulateWithProgress plus span instrumentation:
-// when parent is non-nil, sim.materialize and sim.run child spans
-// (with a sim.warmup sub-span and phase-cycle attributes) record
-// where the job's wall-clock went. A nil parent is exactly
-// SimulateWithProgress — untraced callers pay one nil check.
+// SimulateTraced is Simulate with a progress callback and span
+// instrumentation: fn fires from the simulation goroutine every `every`
+// cycles (the clusterd service streams these as job events; a
+// non-positive interval or nil fn runs without progress), and when
+// parent is non-nil, sim.materialize and sim.run child spans (with a
+// sim.warmup sub-span and phase-cycle attributes) record where the
+// job's wall-clock went. A nil parent records nothing.
 func SimulateTraced(j Job, every int64, fn func(core.Progress), parent *obs.ActiveSpan) (stats.Results, error) {
-	if parent == nil {
-		return simulate(j, every, fn, defaultArena, core.DefaultPool)
-	}
-	return simulateTraced(j, every, fn, defaultArena, core.DefaultPool, parent)
+	return simulate(j, every, fn, parent, defaultArena)
 }

@@ -73,8 +73,8 @@ func TestSimulateTraced(t *testing.T) {
 	}
 }
 
-// TestSimulateTracedNilParent pins the untraced fallback: a nil parent
-// must behave exactly like SimulateWithProgress and record nothing.
+// TestSimulateTracedNilParent pins the untraced path: a nil parent
+// still delivers progress to fn and records nothing.
 func TestSimulateTracedNilParent(t *testing.T) {
 	j := Job{Config: config.Preset(1), Kernel: "rawcaudio", Scale: 1}
 	var ticks int

@@ -3,7 +3,7 @@ package service
 // BenchmarkServiceSubmitCached measures the cache-hit path of the job
 // server end to end over HTTP: every timed iteration boots a FRESH
 // server over a pre-warmed cache directory (so the in-memory memo is
-// cold and the on-disk DiskCache — CRC verification and all — must
+// cold and the on-disk result cache — CRC verification and all — must
 // serve the result), submits the job, and streams its events until
 // the terminal line. This is the restart path a clusterd replica pays
 // for work the fleet has already done; CI exports it into

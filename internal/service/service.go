@@ -242,8 +242,7 @@ type Options struct {
 type Server struct {
 	opts  Options
 	eng   *runner.Engine
-	cache *runner.DiskCache // nil when disabled
-	store *trace.Store      // nil when disabled
+	store *trace.Store // nil when disabled
 	start time.Time
 
 	// Tenant registry: immutable after New. multiTenant switches the
@@ -327,12 +326,11 @@ func New(opts Options) (*Server, error) {
 	s.multiTenant = len(opts.Tenants) > 0
 	var cache runner.ResultCache
 	if opts.CacheDir != "" {
-		dc, err := runner.NewDiskCache(opts.CacheDir)
+		store, err := runner.NewDirStore(opts.CacheDir)
 		if err != nil {
 			return nil, fmt.Errorf("service: result cache: %w", err)
 		}
-		s.cache = dc
-		cache = dc
+		cache = runner.NewBlobCache(store)
 	}
 	if opts.TraceDir != "" {
 		st, err := trace.NewStore(opts.TraceDir)

@@ -4,11 +4,14 @@ package clustervp_test
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"clustervp"
+	"clustervp/internal/core"
+	"clustervp/internal/trace"
 )
 
 // goldenRow is one (configuration, kernel) grid point with the exact
@@ -257,44 +260,78 @@ func TestTraceRoundTripGolden(t *testing.T) {
 }
 
 // TestReplayModesArenaAndPipelinedGolden extends the trace golden grid
-// across the replay data paths introduced by the cold-path rework: for
-// every workload kernel at two scales, the in-memory (arena-form)
-// replay and the pipelined (decode-ahead) replay must each produce
-// byte-identical stats.Results to the synchronous streaming Reader.
-// The three paths share no decoding state, so agreement here means the
-// columnar re-encoding and the batch handoff both preserve every field
-// the timing model observes.
+// across the replay data paths: for every workload kernel at two
+// scales, the in-memory cursor (the arena form), the pipelined
+// (decode-ahead) reader and clustervp.RunTraceFile (the engine's
+// arena-then-stream path) must each produce byte-identical
+// stats.Results to a cold Sim over the synchronous streaming Reader.
+// The reference is built here and shares no pool, arena or decoding
+// state with the paths under test, so agreement means the columnar
+// re-encoding and the batch handoff both preserve every field the
+// timing model observes.
 func TestReplayModesArenaAndPipelinedGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite replay-mode grid in -short mode")
 	}
 	cfg := clustervp.Preset(2).WithVP(clustervp.VPStride)
 	dir := t.TempDir()
+	// replay simulates cfg on a fresh Sim over the source wrap builds
+	// from the file's Reader, closing that source first if it is closable.
+	replay := func(path string, wrap func(*trace.Reader) (trace.Source, error)) (clustervp.Results, error) {
+		fr, err := trace.OpenFile(path)
+		if err != nil {
+			return clustervp.Results{}, err
+		}
+		defer fr.Close()
+		src, err := wrap(fr.Reader)
+		if err != nil {
+			return clustervp.Results{}, err
+		}
+		if c, ok := src.(io.Closer); ok {
+			defer c.Close()
+		}
+		sim, err := core.NewFromSource(cfg, src, fr.Name())
+		if err != nil {
+			return clustervp.Results{}, err
+		}
+		return sim.Run()
+	}
+	reader := func(r *trace.Reader) (trace.Source, error) { return r, nil }
+	cursor := func(r *trace.Reader) (trace.Source, error) {
+		mt, err := trace.ReadMem(r)
+		if err != nil {
+			return nil, err
+		}
+		return mt.NewCursor(), nil
+	}
+	pipelined := func(r *trace.Reader) (trace.Source, error) { return trace.NewPipelined(r), nil }
 	for _, kernel := range clustervp.Kernels() {
 		for _, scale := range []int{1, 2} {
 			path := filepath.Join(dir, fmt.Sprintf("%s-%d.cvt", kernel, scale))
 			if _, err := clustervp.WriteKernelTrace(path, kernel, scale, 0); err != nil {
 				t.Fatalf("%s@%d encode: %v", kernel, scale, err)
 			}
-			want, err := clustervp.RunTraceFile(cfg, path)
+			want, err := replay(path, reader)
 			if err != nil {
 				t.Fatalf("%s@%d streaming replay: %v", kernel, scale, err)
 			}
-			mem, err := clustervp.RunTraceFileInMemory(cfg, path)
-			if err != nil {
-				t.Fatalf("%s@%d in-memory replay: %v", kernel, scale, err)
+			modes := []struct {
+				name string
+				run  func() (clustervp.Results, error)
+			}{
+				{"in-memory", func() (clustervp.Results, error) { return replay(path, cursor) }},
+				{"pipelined", func() (clustervp.Results, error) { return replay(path, pipelined) }},
+				{"RunTraceFile", func() (clustervp.Results, error) { return clustervp.RunTraceFile(cfg, path) }},
 			}
-			if !reflect.DeepEqual(mem, want) {
-				t.Errorf("%s@%d: in-memory replay diverged from streaming Reader:\n got %+v\nwant %+v",
-					kernel, scale, mem, want)
-			}
-			piped, err := clustervp.RunTraceFilePipelined(cfg, path)
-			if err != nil {
-				t.Fatalf("%s@%d pipelined replay: %v", kernel, scale, err)
-			}
-			if !reflect.DeepEqual(piped, want) {
-				t.Errorf("%s@%d: pipelined replay diverged from streaming Reader:\n got %+v\nwant %+v",
-					kernel, scale, piped, want)
+			for _, m := range modes {
+				got, err := m.run()
+				if err != nil {
+					t.Fatalf("%s@%d %s replay: %v", kernel, scale, m.name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s@%d: %s replay diverged from streaming Reader:\n got %+v\nwant %+v",
+						kernel, scale, m.name, got, want)
+				}
 			}
 		}
 	}
