@@ -41,6 +41,8 @@ type Predictor interface {
 	Predict(pc int) bool
 	// Update trains the predictor with the resolved outcome.
 	Update(pc int, taken bool)
+	// Reset restores the just-constructed state in place.
+	Reset()
 }
 
 // Bimodal is a PC-indexed table of 2-bit counters.
@@ -55,11 +57,20 @@ func NewBimodal(entries int) *Bimodal {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("bpred: bimodal entries must be a positive power of two")
 	}
-	t := make([]Counter2, entries)
+	b := &Bimodal{table: make([]Counter2, entries), mask: entries - 1}
+	b.Reset()
+	return b
+}
+
+// Reset implements Predictor: every counter returns to weakly taken,
+// the SimpleScalar default.
+func (b *Bimodal) Reset() { fillWeaklyTaken(b.table) }
+
+// fillWeaklyTaken sets every counter of t to 2 (weakly taken).
+func fillWeaklyTaken(t []Counter2) {
 	for i := range t {
-		t[i] = 2 // weakly taken, SimpleScalar default
+		t[i] = 2
 	}
-	return &Bimodal{table: t, mask: entries - 1}
 }
 
 // Predict implements Predictor.
@@ -90,11 +101,15 @@ func NewGshare(entries int, histBits uint) *Gshare {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("bpred: gshare entries must be a positive power of two")
 	}
-	t := make([]Counter2, entries)
-	for i := range t {
-		t[i] = 2
-	}
-	return &Gshare{table: t, mask: entries - 1, histBits: histBits}
+	g := &Gshare{table: make([]Counter2, entries), mask: entries - 1, histBits: histBits}
+	g.Reset()
+	return g
+}
+
+// Reset implements Predictor: weakly-taken counters, empty history.
+func (g *Gshare) Reset() {
+	fillWeaklyTaken(g.table)
+	g.history = 0
 }
 
 func (g *Gshare) index(pc int) int {
@@ -140,15 +155,21 @@ func NewCombined(chooserEntries, gshareEntries int, histBits uint, bimodalEntrie
 		panic("bpred: chooser entries must be a positive power of two")
 	}
 	ch := make([]Counter2, chooserEntries)
-	for i := range ch {
-		ch[i] = 2
-	}
+	fillWeaklyTaken(ch)
 	return &Combined{
 		gshare:  NewGshare(gshareEntries, histBits),
 		bimodal: NewBimodal(bimodalEntries),
 		chooser: ch,
 		mask:    chooserEntries - 1,
 	}
+}
+
+// Reset implements Predictor, rewinding both components and the
+// chooser.
+func (c *Combined) Reset() {
+	c.gshare.Reset()
+	c.bimodal.Reset()
+	fillWeaklyTaken(c.chooser)
 }
 
 // NewPaperCombined builds the exact Table 1 configuration: 1K chooser,
@@ -192,6 +213,9 @@ func (s Static) Predict(int) bool { return s.TakenAlways }
 // Update implements Predictor (no state).
 func (s Static) Update(int, bool) {}
 
+// Reset implements Predictor (no state).
+func (s Static) Reset() {}
+
 // RAS is a return-address stack for predicting JR returns.
 type RAS struct {
 	stack []int
@@ -221,6 +245,9 @@ func (r *RAS) Pop() (pc int, ok bool) {
 	return pc, true
 }
 
+// Reset empties the stack.
+func (r *RAS) Reset() { r.stack = r.stack[:0] }
+
 // Depth returns the current number of entries.
 func (r *RAS) Depth() int { return len(r.stack) }
 
@@ -237,11 +264,17 @@ func NewBTB(entries int) *BTB {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("bpred: BTB entries must be a positive power of two")
 	}
-	t := make([]int, entries)
-	for i := range t {
-		t[i] = -1
+	b := &BTB{tags: make([]int, entries), targets: make([]int, entries), mask: entries - 1}
+	b.Reset()
+	return b
+}
+
+// Reset invalidates every entry.
+func (b *BTB) Reset() {
+	for i := range b.tags {
+		b.tags[i] = -1
 	}
-	return &BTB{tags: t, targets: make([]int, entries), mask: entries - 1}
+	clear(b.targets)
 }
 
 // Lookup returns the predicted target for pc, if present.
@@ -278,6 +311,17 @@ type Unit struct {
 // direction predictor.
 func NewUnit(dir Predictor) *Unit {
 	return &Unit{Dir: dir, Ras: NewRAS(32), Btb: NewBTB(512)}
+}
+
+// Reset rewinds the direction predictor, RAS, BTB and statistics to
+// their just-constructed state in place, so a pooled simulator reuses
+// the tables instead of allocating them for every run.
+func (u *Unit) Reset() {
+	u.Dir.Reset()
+	u.Ras.Reset()
+	u.Btb.Reset()
+	u.CondSeen, u.CondHit = 0, 0
+	u.TargetSeen, u.TargetHit = 0, 0
 }
 
 // PredictNext returns the predicted next PC for the branch in at pc, and

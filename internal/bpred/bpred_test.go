@@ -256,3 +256,54 @@ func TestBimodalConvergenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestUnitResetMatchesFresh: a trained unit, once Reset, predicts and
+// counts exactly like a newly built one over the same branch stream.
+func TestUnitResetMatchesFresh(t *testing.T) {
+	br := isa.Inst{Op: isa.BEQ, Ra: isa.R1, Rb: isa.R2, Target: 9}
+	call := isa.Inst{Op: isa.JAL, Rd: isa.RA, Target: 200}
+	ret := isa.Inst{Op: isa.JR, Ra: isa.RA}
+	jr := isa.Inst{Op: isa.JR, Ra: isa.R5}
+	// drive feeds a fixed mixed stream and records every predicted PC.
+	drive := func(u *Unit) []int {
+		var preds []int
+		for i := 0; i < 300; i++ {
+			pc := 3 + i%7*64
+			next, _ := u.PredictNext(pc, br)
+			taken := i%3 != 0
+			actual := pc + 1
+			if taken {
+				actual = 9
+			}
+			u.Resolve(pc, br, actual, taken, next)
+			preds = append(preds, next)
+			if i%10 == 0 {
+				next, _ = u.PredictNext(100, call)
+				u.Resolve(100, call, 200, true, next)
+				next, _ = u.PredictNext(250, ret)
+				u.Resolve(250, ret, 101, true, next)
+				preds = append(preds, next)
+				next, _ = u.PredictNext(50, jr)
+				u.Resolve(50, jr, 300+i, true, next)
+				preds = append(preds, next)
+			}
+		}
+		return preds
+	}
+	used := NewUnit(NewPaperCombined())
+	drive(used)
+	used.Reset()
+	fresh := NewUnit(NewPaperCombined())
+	got, want := drive(used), drive(fresh)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("prediction %d after Reset = %d, fresh unit predicts %d", i, got[i], want[i])
+		}
+	}
+	if used.CondSeen != fresh.CondSeen || used.CondHit != fresh.CondHit ||
+		used.TargetSeen != fresh.TargetSeen || used.TargetHit != fresh.TargetHit {
+		t.Errorf("stats after Reset %d/%d %d/%d, fresh %d/%d %d/%d",
+			used.CondHit, used.CondSeen, used.TargetHit, used.TargetSeen,
+			fresh.CondHit, fresh.CondSeen, fresh.TargetHit, fresh.TargetSeen)
+	}
+}

@@ -78,7 +78,7 @@ func poolAccounting(s *Sim) (live, free int, conflict bool) {
 		// that seq actually maps to this slot (virgin slots all carry
 		// seq 0 and would otherwise masquerade as live).
 		inWindow := e.seq >= s.headSeq && e.seq < s.nextSeq &&
-			e.seq%ringCap == int64(i) && e.st != stCommitted
+			e.seq&s.ringMask == int64(i) && e.st != stCommitted
 		if inWindow {
 			live++
 		} else {
@@ -97,34 +97,41 @@ func poolAccounting(s *Sim) (live, free int, conflict bool) {
 	return live, free, conflict
 }
 
-// TestPoolConservation checks the free-list/pool invariants the ISSUE
-// names: after every cycle, live entries + free slots is exactly the
-// ring capacity, live matches the ROB occupancy counter, and no slot is
-// simultaneously free and in-flight.
+// TestPoolConservation checks the free-list/pool invariants: after every
+// cycle, live entries + free slots is exactly the ring's length, live
+// matches the ROB occupancy counter, and no slot is simultaneously free
+// and in-flight. ROB sizes below, at and off a power of two cover a ring
+// the window fills exactly and one it never fills.
 func TestPoolConservation(t *testing.T) {
 	k, err := workload.ByName("cjpeg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
-	s, err := New(cfg, k.Build(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := int64(0); c < 3000 && !s.drained(); c++ {
-		s.step(c)
-		live, free, conflict := poolAccounting(s)
-		if live+free != ringCap {
-			t.Fatalf("cycle %d: live %d + free %d != ring capacity %d", c, live, free, ringCap)
+	for _, rob := range []int{64, 96, 128} {
+		cfg := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
+		cfg.ROBSize = rob
+		s, err := New(cfg, k.Build(1))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if live != s.robCount {
-			t.Fatalf("cycle %d: %d live ring entries but robCount %d", c, live, s.robCount)
+		if want := ringSlots(rob); len(s.ring) != want {
+			t.Fatalf("ROB %d: ring has %d slots, want %d", rob, len(s.ring), want)
 		}
-		if conflict {
-			t.Fatalf("cycle %d: a ring slot is both free and in-flight", c)
-		}
-		if s.fqLen < 0 || s.fqLen > fetchQCap {
-			t.Fatalf("cycle %d: fetch queue occupancy %d out of [0,%d]", c, s.fqLen, fetchQCap)
+		for c := int64(0); c < 3000 && !s.drained(); c++ {
+			s.step(c)
+			live, free, conflict := poolAccounting(s)
+			if live+free != len(s.ring) {
+				t.Fatalf("ROB %d, cycle %d: live %d + free %d != ring length %d", rob, c, live, free, len(s.ring))
+			}
+			if live != s.robCount {
+				t.Fatalf("ROB %d, cycle %d: %d live ring entries but robCount %d", rob, c, live, s.robCount)
+			}
+			if conflict {
+				t.Fatalf("ROB %d, cycle %d: a ring slot is both free and in-flight", rob, c)
+			}
+			if s.fqLen < 0 || s.fqLen > fetchQCap {
+				t.Fatalf("ROB %d, cycle %d: fetch queue occupancy %d out of [0,%d]", rob, c, s.fqLen, fetchQCap)
+			}
 		}
 	}
 }
@@ -137,10 +144,7 @@ func TestPoolConservation(t *testing.T) {
 // depends on walking edges in insertion order.
 func TestDepPoolRecyclesChunks(t *testing.T) {
 	s := &Sim{}
-	s.resetSched(1)
-	for i := range s.ring {
-		s.ring[i].depHead, s.ring[i].depTail = noChunk, noChunk
-	}
+	s.resetRing(1, 64)
 	p := &s.ring[0]
 	p.seq = 0
 	n := 3*depChunkSize + 5
@@ -172,8 +176,8 @@ func TestDepPoolRecyclesChunks(t *testing.T) {
 	if p.depHead != noChunk || p.depTail != noChunk {
 		t.Fatal("release left the entry chained")
 	}
-	for w := range s.cons[0] {
-		if s.cons[0][w] != 0 {
+	for _, m := range s.consRow(0) {
+		if m != 0 {
 			t.Fatal("release left consumer-mask bits set")
 		}
 	}

@@ -413,10 +413,10 @@ func checkBitmapInvariants(t *testing.T, s *Sim, now int64) {
 
 	// Every cluster's valid mask has exactly iqCount[c] bits, and no
 	// ring slot appears in two clusters' masks.
-	var union [nWords]uint64
-	for c := range s.iqW {
+	union := make([]uint64, s.nw)
+	for c := range s.iqCount {
 		pop := 0
-		for w, word := range s.iqW[c] {
+		for w, word := range s.iqW[c*s.nw : (c+1)*s.nw] {
 			pop += bits.OnesCount64(word)
 			if over := word & union[w]; over != 0 {
 				t.Fatalf("cycle %d: ring slots in two IQ masks (word %d: %#x)", now, w, over)

@@ -8,7 +8,7 @@ import "math/bits"
 // the ROB head with bits.TrailingZeros64, so selection order — and with
 // it the arbitration of L1D ports, inter-cluster buses, per-cluster
 // issue widths, FU mix and RegPorts caps — is identical to the original
-// linear ROB scan (retained as issueRef in issue_ref.go and pinned by
+// linear ROB scan (kept as issueRef in issue_ref_test.go and pinned by
 // the differential oracle in oracle_test.go). ROB order gives
 // oldest-first selection; each cluster enforces its issue widths and
 // functional units, memory operations share the L1D ports, and copies
@@ -35,18 +35,19 @@ func (s *Sim) issue(now int64) {
 	// age is ascending slot from the head slot with a single wrap: the
 	// head word's bits at and above the head offset first, then the
 	// following words, then the head word's wrapped low bits.
-	head := s.headSeq % ringCap
+	head := s.headSeq & s.ringMask
 	hw := int(head >> 6)
 	hb := uint(head & 63)
-	for k := 0; k <= nWords; k++ {
+	nw := s.nw
+	for k := 0; k <= nw; k++ {
 		w := hw + k
-		if w >= nWords {
-			w -= nWords
+		if w >= nw {
+			w -= nw
 		}
 		m := s.readyW[w]
 		if k == 0 {
 			m &= ^uint64(0) << hb
-		} else if k == nWords {
+		} else if k == nw {
 			if hb == 0 {
 				break
 			}
@@ -324,7 +325,7 @@ func (s *Sim) resolveVerification(v verification, t, now int64) {
 	c.unverified--
 	// The operand lost its predicted cover: recompute the consumer's
 	// ready bit against the substituted provider and minReady bound.
-	s.recheckSlot(c.seq%ringCap, now)
+	s.recheckSlot(c.seq&s.ringMask, now)
 }
 
 // invalidate implements selective invalidation and reissue (§2.2): the
@@ -341,7 +342,7 @@ func (s *Sim) invalidate(e *entry, now int64) {
 	e.st = stWaiting
 	e.doneTime = 1 << 62
 	s.iqEnter(e)
-	s.recheckSlot(e.seq%ringCap, now)
+	s.recheckSlot(e.seq&s.ringMask, now)
 	s.out.Reissues++
 	if e.isBranch && e.mispred && s.blockingBranch.get() == nil {
 		// A re-executing control-mispredicted branch redirects fetch
@@ -352,7 +353,7 @@ func (s *Sim) invalidate(e *entry, now int64) {
 		// Conservative memory-order recovery: younger issued loads
 		// restart (their disambiguation decision may be stale).
 		for i := e.seq + 1; i < s.nextSeq; i++ {
-			d := &s.ring[i%ringCap]
+			d := &s.ring[i&s.ringMask]
 			if d.isLoad && d.st == stIssued {
 				s.invalidate(d, now)
 			}
@@ -365,7 +366,7 @@ func (s *Sim) invalidate(e *entry, now int64) {
 				if d.st == stIssued {
 					s.invalidate(d, now)
 				} else if d.st == stWaiting {
-					s.recheckSlot(d.seq%ringCap, now)
+					s.recheckSlot(d.seq&s.ringMask, now)
 				}
 			}
 		}
@@ -378,7 +379,7 @@ func (s *Sim) invalidate(e *entry, now int64) {
 // other ROB entry but do not count as program instructions.
 func (s *Sim) commit(now int64) {
 	for n := 0; n < s.cfg.RetireWidth && s.robCount > 0; n++ {
-		e := &s.ring[s.headSeq%ringCap]
+		e := &s.ring[s.headSeq&s.ringMask]
 		if !e.resolved(now) {
 			return
 		}

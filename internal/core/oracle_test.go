@@ -8,20 +8,24 @@ import (
 
 	"clustervp/internal/config"
 	"clustervp/internal/program"
+	"clustervp/internal/stats"
 	"clustervp/internal/workload"
 )
 
 // runSelector simulates prog under cfg with the chosen issue selector
-// (bitmap or the retained reference linear scan) and returns the full
-// statistics record.
-func runSelector(t *testing.T, cfg config.Config, prog *program.Program, reference bool) interface{} {
+// (bitmap, or the reference linear scan of issue_ref_test.go) and
+// returns the full statistics record.
+func runSelector(t *testing.T, cfg config.Config, prog *program.Program, reference bool) stats.Results {
 	t.Helper()
 	s, err := New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.refSelect = reference
-	r, err := s.Run()
+	step := (*Sim).step
+	if reference {
+		step = (*Sim).stepRef
+	}
+	r, err := s.run(step)
 	if err != nil {
 		t.Fatalf("%s/%s (ref=%v): %v", cfg.Name, prog.Name, reference, err)
 	}
@@ -50,7 +54,7 @@ func randomSpec(rng *rand.Rand) config.ClusterSpec {
 
 // TestIssueSelectorOracle is the differential oracle for the bitmap
 // wakeup/select rebuild: the old linear ROB scan is retained verbatim
-// (issue_ref.go) and every run must produce bit-identical statistics
+// (issue_ref_test.go) and every run must produce bit-identical statistics
 // under both selectors. Machines are drawn randomly — asymmetric
 // cluster mixes, random widths/IQ/ports/bypass — so the oracle covers
 // corners the fixed golden grid does not.

@@ -1,20 +1,25 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"clustervp/internal/config"
+	"clustervp/internal/program"
 	"clustervp/internal/stats"
 	"clustervp/internal/trace"
 	"clustervp/internal/workload"
 )
 
 // TestSimResetPoolDeterminism drives one Sim through a sequence of runs
-// via Reset — alternating cluster counts, cache models and predictors so
-// every reshape path executes — and checks each result is byte-identical
-// to a freshly constructed Sim's. This is the core guarantee the worker
-// pool rests on: reuse is invisible in the statistics.
+// via Reset — alternating cluster counts, cache models and predictors,
+// then growing the ROB from 128 to 512 and shrinking it to 64, so every
+// reshape path executes — and checks each result is byte-identical to a
+// freshly constructed Sim's. This is the core guarantee the worker pool
+// rests on: reuse is invisible in the statistics.
 func TestSimResetPoolDeterminism(t *testing.T) {
 	k, err := workload.ByName("cjpeg")
 	if err != nil {
@@ -26,8 +31,14 @@ func TestSimResetPoolDeterminism(t *testing.T) {
 		config.Preset(2).WithVP(config.VPTwoDelta),
 		config.Preset(4),
 		config.Preset(1).WithVP(config.VPStride),
+		config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB),
+		config.Preset(2),
+		config.Preset(4).WithVP(config.VPStride),
 	}
 	cfgs[3].PerfectCaches = true
+	cfgs[5].ROBSize = 512
+	cfgs[6].ROBSize = 128
+	cfgs[7].ROBSize = 64
 
 	reused := &Sim{}
 	for i, cfg := range cfgs {
@@ -81,44 +92,95 @@ func TestSimResetPoolResultsNotAliased(t *testing.T) {
 	}
 }
 
-// TestPoolGetPutReuse checks the pool actually recycles: a Put Sim comes
-// back from Get for the same shape, and a different shape constructs
-// fresh without disturbing the pooled one.
+// TestPoolGetPutReuse checks the pool recycles across machine shapes: a
+// Sim put back after a 2-cluster run is the one a 4-cluster Get returns,
+// and its results equal a fresh Sim's.
 func TestPoolGetPutReuse(t *testing.T) {
 	k, err := workload.ByName("cjpeg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewPool()
-	cfg2 := config.Preset(2)
-	s1, err := p.Get(cfg2, trace.NewExecutor(k.Build(1)), "cjpeg")
+	s2, err := p.Get(config.Preset(2), trace.NewExecutor(k.Build(1)), "cjpeg")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := s1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	p.Put(s1)
-	s2, err := p.Get(cfg2, trace.NewExecutor(k.Build(1)), "cjpeg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != s2 {
-		t.Error("pool did not recycle the Sim for a same-shape Get")
-	}
-	s4, err := p.Get(config.Preset(4), trace.NewExecutor(k.Build(1)), "cjpeg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s4 == s2 {
-		t.Error("pool returned a 2-cluster Sim for a 4-cluster Get")
 	}
 	if _, err := s2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s4.Run(); err != nil {
+	p.Put(s2)
+	cfg4 := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
+	s4, err := p.Get(cfg4, trace.NewExecutor(k.Build(1)), "cjpeg")
+	if err != nil {
 		t.Fatal(err)
 	}
-	p.Put(s2)
+	if s4 != s2 {
+		t.Error("pool constructed a fresh Sim for a 4-cluster Get instead of reusing the 2-cluster one")
+	}
+	got, err := s4.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := run(t, cfg4, k.Build(1)); !reflect.DeepEqual(got, want) {
+		t.Errorf("reused Sim diverged from fresh Sim:\nfresh:  %+v\nreused: %+v", want, got)
+	}
 	p.Put(s4)
+}
+
+// TestRingSizeInvisible checks that sizing the ring by the ROB is
+// invisible in the statistics: for ROB sizes at, below, above and off a
+// power of two, every run is byte-identical to one whose ring is forced
+// to the 512-slot maximum.
+func TestRingSizeInvisible(t *testing.T) {
+	kernels := []string{"cjpeg", "epicdec", "gsmdec", "mesatexgen", "pgpenc"}
+	if testing.Short() {
+		kernels = kernels[:2]
+	}
+	machines := []config.Config{
+		config.Preset(1),
+		config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB),
+	}
+	for _, name := range kernels {
+		k, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range machines {
+			for _, rob := range []int{64, 96, 128, 256, 512} {
+				cfg := m
+				cfg.ROBSize = rob
+				t.Run(fmt.Sprintf("%s/%s/rob%d", name, cfg.Name, rob), func(t *testing.T) {
+					sized := runJSON(t, cfg, k.Build(1), 0)
+					forced := runJSON(t, cfg, k.Build(1), ringCap)
+					if !bytes.Equal(sized, forced) {
+						t.Errorf("%d-slot ring diverged from the %d-slot ring:\nsized:  %s\nforced: %s",
+							ringSlots(rob), ringCap, sized, forced)
+					}
+				})
+			}
+		}
+	}
+}
+
+// runJSON runs prog under cfg and returns the results as JSON. A
+// nonzero slots forces the ring to that many slots in place of the size
+// Reset picks for cfg.ROBSize.
+func runJSON(t *testing.T, cfg config.Config, prog *program.Program, slots int) []byte {
+	t.Helper()
+	s, err := New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slots != 0 {
+		s.resetRing(len(s.res), slots)
+	}
+	r, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

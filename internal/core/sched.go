@@ -4,18 +4,23 @@ package core
 // lives here in Sim-owned parallel arrays indexed by ring slot
 // (struct-of-arrays), not in the entries themselves:
 //
-//   - iqW[c] is cluster c's valid mask: one bit per ring slot holding a
-//     dispatched, still-waiting entry of that cluster (the instruction
-//     queue). popcount(iqW[c]) == iqCount[c] at all times.
+//   - Every bitmap is nw = len(ring)/64 words wide: one bit per ring
+//     slot, so a 128-entry ROB walks two words, not the eight a
+//     ring sized for the 512-entry maximum would.
+//   - iqW holds cluster c's valid mask in words [c*nw, (c+1)*nw): one
+//     bit per ring slot holding a dispatched, still-waiting entry of
+//     that cluster (the instruction queue). Its popcount equals
+//     iqCount[c] at all times.
 //   - readyW is the global ready mask: the subset of waiting entries
 //     whose source operands are all ready this cycle. Select walks it
 //     oldest-first with bits.TrailingZeros64. The mask is global rather
 //     than per-cluster because the shared structures it arbitrates —
 //     L1D ports and the inter-cluster buses — are allocated in global
 //     ROB age order; per-cluster ready words are readyW & iqW[c].
-//   - cons[p] is producer slot p's consumer mask: one bit per ring slot
-//     holding an entry that named p as a source provider. Wakeup on
-//     producer completion is a word-OR of cons[p] into recheckW.
+//   - cons row p (words [p*nw, (p+1)*nw)) is producer slot p's consumer
+//     mask: one bit per ring slot holding an entry that named p as a
+//     source provider. Wakeup on producer completion is a word-OR of
+//     that row into recheckW.
 //   - wheel is a timing wheel of wakeup events. A producer pushes one
 //     completion event at issue time, keyed by its doneTime; when it
 //     fires, every flagged consumer recomputes its readiness.
@@ -32,9 +37,6 @@ package core
 import "math/bits"
 
 const (
-	// nWords is the ready/valid bitmap width: one bit per ring slot.
-	nWords = ringCap / 64
-
 	// depChunkSize is the consumer-edge payload of one dep chunk.
 	depChunkSize = 14
 
@@ -79,15 +81,17 @@ type evChunk struct {
 	evs  [evChunkSize]int32
 }
 
-// sched is the bitmapped wakeup/select state embedded in Sim.
+// sched is the bitmapped wakeup/select state embedded in Sim. Every
+// bitmap is nw words wide, sized with the ring by resetSched.
 type sched struct {
-	iqW      [][nWords]uint64 // per-cluster valid (waiting) masks
-	readyW   [nWords]uint64   // global ready mask
-	recheckW [nWords]uint64   // per-cycle scratch: slots to recompute
-	cons     [ringCap][nWords]uint64
+	nw       int
+	iqW      []uint64 // per-cluster valid (waiting) masks, nw words each
+	readyW   []uint64 // global ready mask
+	recheckW []uint64 // per-cycle scratch: slots to recompute
+	cons     []uint64 // per-slot consumer masks, nw words each
 	// consDirty flags ring slots with a nonzero consumer mask, so slot
 	// recycling skips the row clear for the common consumer-less case.
-	consDirty [nWords]uint64
+	consDirty []uint64
 
 	wheelHead [wheelCap]int32
 	wheelTail [wheelCap]int32
@@ -105,52 +109,67 @@ type sched struct {
 	nextVerifMin int64
 }
 
-// resetSched sizes (or rewinds) the scheduler state for nc clusters. On
-// a fresh Sim the pools start with capacity for far more simultaneous
-// dependence edges and pending events than a full 512-entry ROB
-// generates, so reaching the high-water mark never allocates after
-// construction; on a reused Sim the bitmap storage and pool backing
-// arrays are kept and only their contents are rewound. Consumer-mask
-// rows are cleared via consDirty, so the sweep touches only rows a
-// prior run actually wrote.
+// resetSched sizes (or rewinds) the scheduler state for nc clusters and
+// the current ring. On a fresh Sim the pools start with capacity for
+// four dependence-edge chunks per ring slot, so a run rarely grows them;
+// on a reused Sim the bitmap storage and pool backing arrays are
+// resliced when large enough and only their contents are rewound.
+// Consumer-mask rows are cleared via consDirty, in the previous run's
+// layout, so the sweep touches only rows a prior run actually wrote and
+// leaves the whole backing array zero before it is re-laid-out.
 func (s *Sim) resetSched(nc int) {
-	if len(s.iqW) != nc {
-		s.iqW = make([][nWords]uint64, nc)
-	} else {
-		for c := range s.iqW {
-			s.iqW[c] = [nWords]uint64{}
-		}
-	}
-	s.readyW = [nWords]uint64{}
-	s.recheckW = [nWords]uint64{}
-	for w := range s.consDirty {
-		m := s.consDirty[w]
+	for w, m := range s.consDirty {
 		for m != 0 {
 			b := bits.TrailingZeros64(m)
 			m &^= 1 << uint(b)
-			slot := w<<6 + b
-			for j := range s.cons[slot] {
-				s.cons[slot][j] = 0
-			}
+			clear(s.consRow(int64(w<<6 + b)))
 		}
-		s.consDirty[w] = 0
+	}
+	slots := len(s.ring)
+	nw := slots >> 6
+	s.nw = nw
+	s.iqW = zeroed(s.iqW, nc*nw)
+	s.readyW = zeroed(s.readyW, nw)
+	s.recheckW = zeroed(s.recheckW, nw)
+	s.consDirty = zeroed(s.consDirty, nw)
+	if cap(s.cons) < slots*nw {
+		s.cons = make([]uint64, slots*nw)
+	} else {
+		s.cons = s.cons[:slots*nw]
 	}
 	for i := range s.wheelHead {
 		s.wheelHead[i], s.wheelTail[i] = noChunk, noChunk
 	}
-	if s.depPool == nil {
-		s.depPool = make([]depChunk, 0, 4*ringCap)
+	if cap(s.depPool) < 4*slots {
+		s.depPool = make([]depChunk, 0, 4*slots)
 	} else {
 		s.depPool = s.depPool[:0]
 	}
 	s.depFree = noChunk
-	if s.evPool == nil {
-		s.evPool = make([]evChunk, 0, 4*ringCap/evChunkSize)
+	if n := 4 * slots / evChunkSize; cap(s.evPool) < n {
+		s.evPool = make([]evChunk, 0, n)
 	} else {
 		s.evPool = s.evPool[:0]
 	}
 	s.evFree = noChunk
 	s.nextVerifMin = 0
+}
+
+// zeroed returns b resliced to n zero words, reallocating only when b's
+// capacity is short.
+func zeroed(b []uint64, n int) []uint64 {
+	if cap(b) < n {
+		return make([]uint64, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+// consRow is producer slot's consumer mask.
+func (s *sched) consRow(slot int64) []uint64 {
+	i := int(slot) * s.nw
+	return s.cons[i : i+s.nw]
 }
 
 // --- dependence-edge pool ---
@@ -186,9 +205,9 @@ func (s *Sim) addDep(p *entry, r eref) {
 	c := &s.depPool[ci]
 	c.refs[c.n] = r
 	c.n++
-	pslot := p.seq % ringCap
-	cslot := r.seq % ringCap
-	s.cons[pslot][cslot>>6] |= 1 << uint(cslot&63)
+	pslot := p.seq & s.ringMask
+	cslot := r.seq & s.ringMask
+	s.cons[int(pslot)*s.nw+int(cslot>>6)] |= 1 << uint(cslot&63)
 	s.consDirty[pslot>>6] |= 1 << uint(pslot&63)
 }
 
@@ -205,24 +224,22 @@ func (s *Sim) releaseDeps(e *entry, slot int64) {
 	}
 	if s.consDirty[slot>>6]&(1<<uint(slot&63)) != 0 {
 		s.consDirty[slot>>6] &^= 1 << uint(slot&63)
-		for w := range s.cons[slot] {
-			s.cons[slot][w] = 0
-		}
+		clear(s.consRow(slot))
 	}
 }
 
 // --- valid/ready masks ---
 
 func (s *Sim) iqEnter(e *entry) {
-	slot := e.seq % ringCap
-	s.iqW[e.cluster][slot>>6] |= 1 << uint(slot&63)
+	slot := e.seq & s.ringMask
+	s.iqW[e.cluster*s.nw+int(slot>>6)] |= 1 << uint(slot&63)
 	s.iqCount[e.cluster]++
 }
 
 func (s *Sim) iqLeave(e *entry) {
-	slot := e.seq % ringCap
+	slot := e.seq & s.ringMask
 	m := ^(uint64(1) << uint(slot&63))
-	s.iqW[e.cluster][slot>>6] &= m
+	s.iqW[e.cluster*s.nw+int(slot>>6)] &= m
 	s.readyW[slot>>6] &= m
 	s.iqCount[e.cluster]--
 }
@@ -270,21 +287,9 @@ func (s *Sim) scheduleEvent(event int32, t, now int64) {
 	c.n++
 }
 
-// dropWheelSlot discards this cycle's pending events unprocessed
-// (reference-selector mode never consults the wheel but dispatch still
-// feeds it; dropping each slot as its turn comes keeps memory bounded).
-func (s *Sim) dropWheelSlot(now int64) {
-	i := now & wheelMask
-	if h := s.wheelHead[i]; h != noChunk {
-		s.evPool[s.wheelTail[i]].next = s.evFree
-		s.evFree = h
-		s.wheelHead[i], s.wheelTail[i] = noChunk, noChunk
-	}
-}
-
 // wakeConsumersAt schedules producer p's completion wakeup for cycle t.
 func (s *Sim) wakeConsumersAt(p *entry, t, now int64) {
-	s.scheduleEvent(int32(p.seq%ringCap)|prodEvent, t, now)
+	s.scheduleEvent(int32(p.seq&s.ringMask)|prodEvent, t, now)
 }
 
 // drainWheel fires this cycle's wakeup events: producer completions
@@ -316,8 +321,8 @@ func (s *Sim) drainWheel(now int64) {
 					s.wakeConsumersAt(e, e.doneTime, now)
 					continue
 				}
-				for w := range s.recheckW {
-					s.recheckW[w] |= s.cons[slot][w]
+				for w, m := range s.consRow(slot) {
+					s.recheckW[w] |= m
 				}
 			} else {
 				s.recheckW[slot>>6] |= 1 << uint(slot&63)

@@ -18,6 +18,8 @@ import (
 )
 
 const (
+	// ringCap is the largest ROB a Sim accepts. Each Sim sizes its ring
+	// by its own ROB (ringSlots), not by this maximum.
 	ringCap   = 512
 	fetchQCap = 32
 	// watchdogWindow aborts the run when no instruction commits for this
@@ -58,19 +60,18 @@ type Sim struct {
 	iqSize []int
 	bypass []int64
 
-	// ROB ring. The cold per-entry payload lives in the ring; the
+	// ROB ring of ringSlots(ROBSize) entries; seq maps to slot
+	// seq&ringMask. The cold per-entry payload lives in the ring; the
 	// scheduler-hot state (valid/ready bitmaps, consumer masks, wakeup
 	// wheel, dependence-edge pool) lives in the embedded sched as
 	// parallel arrays indexed by ring slot.
-	ring     [ringCap]entry
+	ring     []entry
+	ringMask int64
 	headSeq  int64
 	nextSeq  int64
 	robCount int
 
 	sched
-	// refSelect switches the issue stage to the reference linear-scan
-	// selector (issue_ref.go); used by the differential oracle tests.
-	refSelect bool
 
 	iqCount []int
 
@@ -181,9 +182,12 @@ func NewFromSource(cfg config.Config, src trace.Source, benchmark string) (*Sim,
 
 // Reset rebinds the simulator to a new configuration and instruction
 // stream, rewinding every piece of run state — ROB ring, rename table,
-// scheduler bitmaps and chunk pools, caches, fetch queue, statistics —
-// while reusing the large allocations from the previous run. A worker
-// can therefore run job after job on one Sim at memclr cost instead of
+// scheduler bitmaps and chunk pools, branch predictor, caches, fetch
+// queue, statistics — while reusing the large allocations from the
+// previous run. The ring and the scheduler state indexed by ring slot
+// are sized by cfg.ROBSize: a Sim whose storage is large enough
+// reslices it, a smaller one regrows it. A worker can therefore run job
+// after job, of any machine shape, on one Sim at memclr cost instead of
 // reconstruction cost; results are identical to a freshly constructed
 // Sim by construction (every field is restored to its New state).
 //
@@ -207,9 +211,13 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 
 	// Peripherals that are a handful of small allocations are rebuilt
 	// fresh — cheap, and trivially identical to a new Sim. The bulk
-	// state (rename table, scheduler pools, cache arrays, the ring) is
-	// rewound in place.
-	s.bp = bpred.NewUnit(bpred.NewPaperCombined())
+	// state (branch-predictor tables, rename table, scheduler pools,
+	// cache arrays, the ring) is rewound in place.
+	if s.bp == nil {
+		s.bp = bpred.NewUnit(bpred.NewPaperCombined())
+	} else {
+		s.bp.Reset()
+	}
 	s.bal = steer.NewWeightedBalancer(cfg.IssueWeights())
 
 	if s.table != nil && s.table.Clusters() == nc {
@@ -240,13 +248,7 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 			s.excessInt[c], s.excessFP[c] = 0, 0
 		}
 	}
-	s.resetSched(nc)
-
-	for i := range s.ring {
-		s.ring[i] = entry{depHead: noChunk, depTail: noChunk}
-	}
-	s.headSeq, s.nextSeq, s.robCount = 0, 0, 0
-	s.refSelect = false
+	s.resetRing(nc, ringSlots(cfg.ROBSize))
 
 	for i := range s.fetchQ {
 		s.fetchQ[i] = fetched{}
@@ -328,6 +330,35 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 	return nil
 }
 
+// ringSlots is the ring size for a ROB of rob entries: the next power
+// of two, so a sequence number maps to its slot with a mask, and at
+// least one 64-bit bitmap word.
+func ringSlots(rob int) int {
+	n := 64
+	for n < rob {
+		n <<= 1
+	}
+	return n
+}
+
+// resetRing sizes the ROB ring to slots entries (a power of two, at
+// least 64), empties it, and sizes and rewinds the scheduler state
+// indexed by ring slot for nc clusters. Storage from a previous run is
+// resliced when it is large enough.
+func (s *Sim) resetRing(nc, slots int) {
+	if cap(s.ring) < slots {
+		s.ring = make([]entry, slots)
+	} else {
+		s.ring = s.ring[:slots]
+	}
+	for i := range s.ring {
+		s.ring[i] = entry{depHead: noChunk, depTail: noChunk}
+	}
+	s.ringMask = int64(slots - 1)
+	s.headSeq, s.nextSeq, s.robCount = 0, 0, 0
+	s.resetSched(nc)
+}
+
 // peek returns the next dynamic instruction without consuming it. The
 // record lives in a Sim-owned buffer so peeking never heap-allocates.
 func (s *Sim) peek() *trace.DynInst {
@@ -353,13 +384,15 @@ func (s *Sim) consume() { s.havePeek = false }
 func (s *Sim) step(cycle int64) {
 	s.processVerifications(cycle)
 	s.commit(cycle)
-	if s.refSelect {
-		s.issueRef(cycle)
-	} else {
-		s.issue(cycle)
-	}
+	s.issue(cycle)
 	s.dispatch(cycle)
 	s.fetch(cycle)
+	s.endCycle(cycle)
+}
+
+// endCycle charges the cycle to its phase and fires the progress
+// callback when due.
+func (s *Sim) endCycle(cycle int64) {
 	switch {
 	case s.trDone:
 		s.phaseDrain++
@@ -381,7 +414,11 @@ func (s *Sim) drained() bool {
 
 // Run simulates until the trace drains and the pipeline empties, then
 // returns the collected statistics.
-func (s *Sim) Run() (stats.Results, error) {
+func (s *Sim) Run() (stats.Results, error) { return s.run((*Sim).step) }
+
+// run is Run's cycle loop around a given per-cycle step, so a test can
+// substitute a reference stage for a production one.
+func (s *Sim) run(step func(*Sim, int64)) (stats.Results, error) {
 	maxCyc := s.cfg.MaxCycles
 	if maxCyc == 0 {
 		maxCyc = defaultMaxCyc
@@ -391,7 +428,7 @@ func (s *Sim) Run() (stats.Results, error) {
 		if cycle > maxCyc {
 			return s.out, fmt.Errorf("core: exceeded %d cycles", maxCyc)
 		}
-		s.step(cycle)
+		step(s, cycle)
 		if s.drained() {
 			cycle++
 			break
@@ -436,7 +473,7 @@ func (s *Sim) describeHead(now int64) string {
 	if s.robCount == 0 {
 		return "rob empty"
 	}
-	e := &s.ring[s.headSeq%ringCap]
+	e := &s.ring[s.headSeq&s.ringMask]
 	msg := fmt.Sprintf("head seq=%d pc=%d op=%v st=%d cluster=%d unverified=%d",
 		e.seq, e.pc, e.op, e.st, e.cluster, e.unverified)
 	for i := 0; i < e.nsrc; i++ {
@@ -513,7 +550,7 @@ func (s *Sim) fetch(now int64) {
 // slot's consumer mask. The pool's high-water mark is global, so after
 // warmup recycling never heap-allocates.
 func (s *Sim) alloc() *entry {
-	slot := s.nextSeq % ringCap
+	slot := s.nextSeq & s.ringMask
 	e := &s.ring[slot]
 	s.releaseDeps(e, slot)
 	*e = entry{seq: s.nextSeq, doneTime: 1 << 62, depHead: noChunk, depTail: noChunk}
@@ -743,10 +780,10 @@ func (s *Sim) dispatchOne(now int64, f *fetched) bool {
 			if hp := homeProv.get(); hp != nil {
 				s.addDep(hp, ref(vc))
 				if hp.done(now) {
-					s.setReady(vc.seq % ringCap)
+					s.setReady(vc.seq & s.ringMask)
 				}
 			} else {
-				s.setReady(vc.seq % ringCap)
+				s.setReady(vc.seq & s.ringMask)
 			}
 			s.out.VerifyCopies++
 			s.out.PerCluster[home].CopiesOut++
@@ -774,10 +811,10 @@ func (s *Sim) dispatchOne(now int64, f *fetched) bool {
 			if hp := homeProv.get(); hp != nil {
 				s.addDep(hp, ref(cp))
 				if hp.done(now) {
-					s.setReady(cp.seq % ringCap)
+					s.setReady(cp.seq & s.ringMask)
 				}
 			} else {
-				s.setReady(cp.seq % ringCap)
+				s.setReady(cp.seq & s.ringMask)
 			}
 			s.out.Copies++
 			s.out.PerCluster[home].CopiesOut++
@@ -842,7 +879,7 @@ func (s *Sim) dispatchOne(now int64, f *fetched) bool {
 	}
 	s.iqEnter(e)
 	if ready {
-		s.setReady(e.seq % ringCap)
+		s.setReady(e.seq & s.ringMask)
 	}
 	s.bal.Dispatched(cl)
 	s.out.PerCluster[cl].Dispatched++

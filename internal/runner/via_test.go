@@ -60,13 +60,13 @@ func TestResultVia(t *testing.T) {
 	if err := FirstErr(rs); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range rs[:1] {
-		if r.Via != ViaCache {
-			t.Errorf("restarted job %d via = %v, want cache", i, r.Via)
-		}
+	// As above, either index of the duplicate pair may claim the job.
+	pair = []Via{rs[0].Via, rs[1].Via}
+	if !(pair[0] == ViaCache && pair[1] == ViaMemo || pair[0] == ViaMemo && pair[1] == ViaCache) {
+		t.Errorf("restarted duplicate pair via = %v/%v, want one cache + one memo", pair[0], pair[1])
 	}
-	if rs[1].Via != ViaMemo {
-		t.Errorf("restarted duplicate via = %v, want memo", rs[1].Via)
+	if rs[2].Via != ViaCache {
+		t.Errorf("restarted unique job via = %v, want cache", rs[2].Via)
 	}
 	if got := e2.SimInstructions(); got != 0 {
 		t.Errorf("cache-served engine SimInstructions = %d, want 0", got)
