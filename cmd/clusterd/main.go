@@ -23,13 +23,19 @@
 // instead of a worker — it runs no simulations itself, but admits jobs
 // once, shards them deterministically by fingerprint hash across the
 // -replicas list, fails shards over around dead replicas, and serves
-// the same API surface:
+// the same front end, -tenants and -queue included:
 //
 //	clusterd -coordinator -replicas http://10.0.0.1:8090,http://10.0.0.2:8090
 //
 // Point the replicas at one shared -data directory (or any shared
 // cache backend) and a re-dispatched shard resolves from the result
-// cache instead of re-simulating.
+// cache instead of re-simulating. A coordinator has no trace store, so
+// POST /v1/traces answers 501 there. -api-key is the key the
+// coordinator presents to multi-tenant replicas. A flag that
+// configures only the other mode (-data, -cache-dir, -trace-dir,
+// -workers and -progress-interval for a worker; -replicas,
+// -probe-interval and -api-key for a coordinator) is a usage error,
+// exit status 2.
 //
 // Endpoints (see ARCHITECTURE.md "Service layer" for the full table):
 //
@@ -44,8 +50,8 @@
 // traceparent header, or freshly rooted) from HTTP admission through
 // queue wait, dispatch and the simulation phases; /v1/jobs/{id}/trace
 // renders the timeline, format=chrome ready for chrome://tracing or
-// Perfetto. A coordinator serves the same two endpoints, merging its
-// dispatch spans with every replica's spans for the job's trace.
+// Perfetto. On a coordinator the job trace merges its dispatch spans
+// with every replica's spans for the job's trace.
 //
 // The first line on stdout is "clusterd listening on http://<addr>",
 // with the actual port — so -addr 127.0.0.1:0 picks a free port and
@@ -91,6 +97,12 @@ func main() {
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060; empty = off)")
 	flag.Parse()
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkMode(set, *coordinator); err != nil {
+		fmt.Fprintln(os.Stderr, "clusterd:", err)
+		os.Exit(2)
+	}
 	logger, err := buildLogger(*logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clusterd:", err)
@@ -108,20 +120,49 @@ func main() {
 			fmt.Fprintln(os.Stderr, "clusterd:", err)
 			os.Exit(2)
 		}
-		if err := runCoordinator(*addr, replicas, *queue, *probeInterval, *apiKey, logger); err != nil {
+		err = runCoordinator(*addr, *tenants, fleet.Options{
+			Replicas:      replicas,
+			QueueDepth:    *queue,
+			ProbeInterval: *probeInterval,
+			APIKey:        *apiKey,
+			Logger:        logger,
+		})
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "clusterd:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *replicasFlag != "" {
-		fmt.Fprintln(os.Stderr, "clusterd: -replicas requires -coordinator")
-		os.Exit(2)
-	}
 	if err := run(*addr, *data, *cacheDir, *traceDir, *tenants, workersQueue{*workers, *queue}, *progress, logger); err != nil {
 		fmt.Fprintln(os.Stderr, "clusterd:", err)
 		os.Exit(1)
 	}
+}
+
+// Flags that configure only one mode: the worker's local execution, or
+// the coordinator's dispatch.
+var (
+	workerFlags      = []string{"data", "cache-dir", "trace-dir", "workers", "progress-interval"}
+	coordinatorFlags = []string{"replicas", "probe-interval", "api-key"}
+)
+
+// checkMode rejects a flag set explicitly in the mode it does not
+// configure, instead of silently ignoring it.
+func checkMode(set map[string]bool, coordinator bool) error {
+	if coordinator {
+		for _, name := range workerFlags {
+			if set[name] {
+				return fmt.Errorf("-%s cannot be used with -coordinator", name)
+			}
+		}
+		return nil
+	}
+	for _, name := range coordinatorFlags {
+		if set[name] {
+			return fmt.Errorf("-%s requires -coordinator", name)
+		}
+	}
+	return nil
 }
 
 // parseReplicas splits and sanity-checks the -replicas list. Order is
@@ -209,40 +250,45 @@ func resolveDir(override, data, sub string) string {
 	}
 }
 
-// runCoordinator boots the fleet coordinator variant: same listening
-// line, same graceful shutdown, no local simulation engine.
-func runCoordinator(addr string, replicas []string, queue int, probe time.Duration, apiKey string, logger *slog.Logger) error {
-	co, err := fleet.New(fleet.Options{
-		Replicas:      replicas,
-		QueueDepth:    queue,
-		ProbeInterval: probe,
-		APIKey:        apiKey,
-		Logger:        logger,
-	})
+// loadTenants reads the -tenants file; an empty path means open mode.
+func loadTenants(path string, logger *slog.Logger) ([]service.Tenant, error) {
+	if path == "" {
+		return nil, nil
+	}
+	tenants, err := service.LoadTenantsFile(path)
+	if err != nil {
+		return nil, err
+	}
+	// Names only — API keys must never reach the log stream.
+	names := make([]string, 0, len(tenants))
+	for _, t := range tenants {
+		names = append(names, t.Name)
+	}
+	logger.Info("multi-tenant mode", "tenants", names)
+	return tenants, nil
+}
+
+// runCoordinator boots the fleet coordinator variant: the same front
+// end, tenants included, over a dispatcher instead of a local engine.
+func runCoordinator(addr, tenantsPath string, opts fleet.Options) error {
+	tenants, err := loadTenants(tenantsPath, opts.Logger)
+	if err != nil {
+		return err
+	}
+	co, err := fleet.New(opts, tenants...)
 	if err != nil {
 		return err
 	}
 	defer co.Close()
-	logger.Info("coordinator mode", "replicas", replicas)
+	opts.Logger.Info("coordinator mode", "replicas", opts.Replicas)
 	return serve(addr, co.Handler())
 }
 
 func run(addr, data, cacheDir, traceDir, tenantsPath string, wq workersQueue, progress int64, logger *slog.Logger) error {
-	var tenants []service.Tenant
-	if tenantsPath != "" {
-		var err error
-		tenants, err = service.LoadTenantsFile(tenantsPath)
-		if err != nil {
-			return err
-		}
-		// Names only — API keys must never reach the log stream.
-		names := make([]string, 0, len(tenants))
-		for _, t := range tenants {
-			names = append(names, t.Name)
-		}
-		logger.Info("multi-tenant mode", "tenants", names)
+	tenants, err := loadTenants(tenantsPath, logger)
+	if err != nil {
+		return err
 	}
-
 	srv, err := service.New(service.Options{
 		Workers:          wq.workers,
 		QueueDepth:       wq.queue,

@@ -91,12 +91,6 @@ func httpStatus(err error) (status int, code string, retryAfterSec int) {
 	}
 }
 
-// Envelope renders a service error as its HTTP status and versioned
-// wire envelope. Exported for sibling packages speaking the same error
-// contract (the fleet coordinator), so a fleet rejection is
-// byte-compatible with a single-box one.
-func Envelope(err error) (int, ErrorEnvelope) { return envelope(err) }
-
 // envelope renders a service error as its wire representation.
 func envelope(err error) (int, ErrorEnvelope) {
 	status, code, retry := httpStatus(err)

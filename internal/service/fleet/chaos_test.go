@@ -135,7 +135,7 @@ func TestChaosKillReplicaMidGrid(t *testing.T) {
 		t.Fatal("no replica started a simulation")
 	}
 	victim.Store(int32(v))
-	victimName := tf.co.replicas[v].name
+	victimName := tf.co.d.replicas[v].name
 	t.Logf("killing %s mid-shard", victimName)
 	// http.Server.Close refuses new dials and then closes every
 	// connection the listener ever accepted, one accepted a moment ago
@@ -194,7 +194,7 @@ func TestChaosKillReplicaMidGrid(t *testing.T) {
 	// The held shard was orphaned, so the coordinator had to resubmit
 	// it, and the victim's books show the scar: dispatched but not
 	// delivered. The probe loop must also have demoted it to down.
-	if n := tf.co.resubmits.Load(); n < 1 {
+	if n := tf.co.d.resubmits.Load(); n < 1 {
 		t.Errorf("resubmits = %d, want >= 1 (the held shard was orphaned)", n)
 	}
 	deadline := time.Now().Add(10 * time.Second)

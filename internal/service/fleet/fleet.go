@@ -1,10 +1,12 @@
 // Package fleet is the coordinator side of clusterd fleet mode: one
 // process that admits jobs and grids exactly once, deterministically
 // partitions them across N clusterd replicas by fingerprint hash, fans
-// the shards out with idempotent retries, and reassembles statuses,
-// results and NDJSON event streams so a caller cannot tell the fleet
-// from a single box — same wire types, same error envelopes,
-// byte-identical results JSON.
+// the shards out with idempotent retries, and relays their statuses,
+// results and NDJSON event streams. The coordinator is a
+// service.Server over a dispatching backend, so its routes, error
+// envelopes, tenants, job records, tracez and /metrics are the single
+// box's own, and a caller cannot tell the fleet from a single box
+// except by statsz, healthz and the replica named on each job.
 //
 // Determinism is the load-bearing property, in the Bobpp style of
 // deterministic work partitioning (PAPERS.md): a job's home replica is
@@ -20,6 +22,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
@@ -29,12 +32,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clustervp/internal/config"
 	"clustervp/internal/obs"
 	"clustervp/internal/runner"
 	"clustervp/internal/service"
 	"clustervp/internal/service/client"
 	"clustervp/internal/stats"
-	"clustervp/internal/workload"
 )
 
 // Options configure a Coordinator.
@@ -48,9 +51,6 @@ type Options struct {
 	// admission (<=0 = 1024); past it, submissions get the same 503
 	// queue_full envelope a saturated single box sends.
 	QueueDepth int
-	// MaxJobRecords bounds retained job records (<=0 = 16384), evicting
-	// the oldest terminal records first, exactly like the single box.
-	MaxJobRecords int
 	// ProbeInterval paces the /v1/healthz probe loop (<=0 = 2s).
 	ProbeInterval time.Duration
 	// DownAfter is how many consecutive probe failures demote a replica
@@ -65,53 +65,30 @@ type Options struct {
 	// tests route it through a fault-injecting RoundTripper. Nil = a
 	// plain http.Client.
 	HTTPClient *http.Client
-	// Logger receives structured dispatch and health logs; nil discards.
+	// Logger receives structured request, dispatch and health logs; nil
+	// discards them.
 	Logger *slog.Logger
 	// SpanRing bounds the coordinator's finished-span ring
 	// (<=0 = obs.DefaultRingSize). Tracing is always on.
 	SpanRing int
 }
 
-// Coordinator fans a job stream out across replicas. Create with New,
-// expose with Handler, stop with Close.
+// Coordinator is a service.Server whose jobs run on the fleet. Create
+// with New, expose with Handler, stop with Close.
 type Coordinator struct {
-	opts     Options
-	replicas []*replica
-	start    time.Time
-	logger   *slog.Logger
-	handler  http.Handler
-	spans    *obs.Collector
-
-	mu       sync.Mutex
-	jobs     map[string]*fleetJob
-	order    []string
-	nextSeq  int64
-	inflight int // non-terminal jobs, bounded by QueueDepth
-
-	submitted, done, failed atomic.Int64
-	// resubmits counts shard dispatches beyond the first — the fleet's
-	// duplicate-work ceiling, surfaced in statsz and pinned by the
-	// chaos test.
-	resubmits atomic.Int64
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	*service.Server
+	d *dispatcher
 }
 
 // New builds and starts a coordinator (health probes run until Close).
-func New(opts Options) (*Coordinator, error) {
+// With tenants, the coordinator authenticates callers and enforces
+// their quotas exactly like a multi-tenant single box.
+func New(opts Options, tenants ...service.Tenant) (*Coordinator, error) {
 	if len(opts.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: at least one replica is required")
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 1024
-	}
-	if opts.MaxJobRecords <= 0 {
-		opts.MaxJobRecords = 16384
-	}
-	if opts.MaxJobRecords < opts.QueueDepth {
-		opts.MaxJobRecords = opts.QueueDepth
 	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 2 * time.Second
@@ -126,16 +103,7 @@ func New(opts Options) (*Coordinator, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	co := &Coordinator{
-		opts:   opts,
-		start:  time.Now(),
-		logger: logger,
-		spans:  obs.NewCollector("coordinator", opts.SpanRing),
-		jobs:   make(map[string]*fleetJob),
-		ctx:    ctx,
-		cancel: cancel,
-	}
+	d := &dispatcher{opts: opts, logger: logger}
 	for i, base := range opts.Replicas {
 		copts := []client.Option{client.WithRetry(opts.Retry)}
 		if opts.HTTPClient != nil {
@@ -144,217 +112,124 @@ func New(opts Options) (*Coordinator, error) {
 		if opts.APIKey != "" {
 			copts = append(copts, client.WithAPIKey(opts.APIKey))
 		}
-		co.replicas = append(co.replicas, &replica{
+		d.replicas = append(d.replicas, &replica{
 			name:  fmt.Sprintf("replica-%d", i),
 			base:  base,
 			c:     client.New(base, copts...),
 			state: replicaUp,
 		})
 	}
-	co.handler = co.buildHandler()
-	co.wg.Add(1)
-	go co.probeLoop()
-	return co, nil
+	srv, err := service.NewWith(service.Options{
+		QueueDepth: opts.QueueDepth,
+		Tenants:    tenants,
+		SpanRing:   opts.SpanRing,
+		Logger:     logger,
+	}, d)
+	if err != nil {
+		return nil, err
+	}
+	d.srv = srv
+	d.ctx, d.cancel = context.WithCancel(context.Background())
+	d.wg.Add(1)
+	go d.probeLoop()
+	return &Coordinator{Server: srv, d: d}, nil
+}
+
+// Stats snapshots the coordinator counters and per-replica health:
+// the GET /v1/statsz payload of a coordinator.
+func (co *Coordinator) Stats() Stats { return co.d.stats() }
+
+// dispatcher is the coordinator's service.Backend: it shards each
+// admitted job onto a replica, runs it there, and fails it over around
+// dead replicas.
+type dispatcher struct {
+	opts     Options
+	replicas []*replica
+	logger   *slog.Logger
+	srv      *service.Server
+
+	// resubmits counts shard dispatches beyond the first — the fleet's
+	// duplicate-work ceiling, surfaced in statsz and pinned by the
+	// chaos test.
+	resubmits atomic.Int64
+
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+}
+
+func (d *dispatcher) Names() (string, string) { return "coordinator", "f" }
+
+// TraceJob keys a trace job by the trace's digest, which stands in for
+// the local path a replica replays it from: the key is identical no
+// matter which box stores the trace.
+func (d *dispatcher) TraceJob(cfg config.Config, digest string) (runner.Job, string, error) {
+	cfg.Name = ""
+	return runner.Job{Config: cfg}, fmt.Sprintf("%+v|trace:%s", cfg, digest), nil
+}
+
+// Free bounds the in-flight jobs, and takes none while no replica is
+// live: the same degraded answer as a saturated single box, so clients
+// back off instead of erroring.
+func (d *dispatcher) Free(queued, running int) (int, error) {
+	if d.liveReplicas() == 0 {
+		return 0, fmt.Errorf("%w: no live replicas", service.ErrQueueFull)
+	}
+	return d.opts.QueueDepth - queued - running, nil
+}
+
+// Start assigns the job its home shard and dispatches it.
+func (d *dispatcher) Start(j *service.Job) {
+	shard := d.shardOf(j.Fingerprint())
+	j.Span().SetAttr("shard", strconv.Itoa(shard))
+	j.Span().SetAttr("shard_key", j.Fingerprint())
+	d.wg.Add(1)
+	go d.dispatch(j, shard)
+}
+
+func (d *dispatcher) Statsz() any { return d.stats() }
+
+func (d *dispatcher) Healthz() any { return map[string]any{"ok": true, "role": "coordinator"} }
+
+// JobSpans fetches a trace's replica-side spans live from every
+// reachable replica's /v1/tracez?trace_id=: the replica that ran the
+// job contributes its admission→queue→run→sim spans, all under the
+// coordinator's trace id thanks to traceparent propagation on the
+// dispatch hop. An unreachable replica is skipped, not an error: a
+// partial timeline beats none while a box is down.
+func (d *dispatcher) JobSpans(ctx context.Context, traceID string) []obs.Span {
+	var spans []obs.Span
+	for _, rep := range d.replicas {
+		if rep.health() == replicaDown {
+			continue
+		}
+		tz, err := rep.c.Tracez(ctx, traceID, 0)
+		if err != nil {
+			d.logger.Warn("fleet trace fetch failed", "replica", rep.name, "error", err)
+			continue
+		}
+		spans = append(spans, tz.Spans...)
+	}
+	return spans
 }
 
 // Close stops the probe loop and aborts in-flight dispatches.
-func (co *Coordinator) Close() {
-	co.cancel()
-	co.wg.Wait()
-}
-
-// shardKey is the deterministic partitioning key of a request: the
-// same content-addressed identity the replicas' result cache keys on
-// (for trace jobs the trace's digest stands in for its local path, so
-// the key is identical no matter which box stores the trace). Building
-// it also validates the request, so a bad spec is a 400 at the
-// coordinator and never burns a dispatch.
-func shardKey(req service.JobRequest) (string, error) {
-	cfg, err := req.Machine.Build()
-	if err != nil {
-		return "", fmt.Errorf("%w: machine: %v", service.ErrBadRequest, err)
-	}
-	switch {
-	case req.TraceDigest != "" && req.Kernel != "":
-		return "", fmt.Errorf("%w: kernel and trace_digest are mutually exclusive", service.ErrBadRequest)
-	case req.TraceDigest != "":
-		cfg.Name = ""
-		return fmt.Sprintf("%+v|trace:%s", cfg, req.TraceDigest), nil
-	case req.Kernel != "":
-		if _, err := workload.ByName(req.Kernel); err != nil {
-			return "", fmt.Errorf("%w: %v", service.ErrBadRequest, err)
-		}
-		j := runner.Job{Config: cfg, Kernel: req.Kernel, Scale: req.Scale, Seed: req.Seed}
-		return j.Fingerprint(), nil
-	default:
-		return "", fmt.Errorf("%w: one of kernel or trace_digest is required", service.ErrBadRequest)
-	}
+func (d *dispatcher) Close() {
+	d.cancel()
+	d.wg.Wait()
 }
 
 // shardOf maps a key onto the configured replica list: FNV-1a 64 mod
 // N. Pure function of (key, configured list) — health never moves the
 // home slot, it only reroutes execution.
-func (co *Coordinator) shardOf(key string) int {
+func (d *dispatcher) shardOf(key string) int {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return int(h.Sum64() % uint64(len(co.replicas)))
+	return int(h.Sum64() % uint64(len(d.replicas)))
 }
 
-// Submit validates and admits one job, returning its queued snapshot.
-func (co *Coordinator) Submit(req service.JobRequest) (service.JobStatus, error) {
-	j, err := co.admitOne(req, nil)
-	if err != nil {
-		return service.JobStatus{}, err
-	}
-	return j.status(), nil
-}
-
-// admitOne admits one job, parenting its trace under the caller's
-// request span when one exists — this is how a traceparent that arrived
-// on POST /v1/jobs threads through the coordinator into the replica.
-func (co *Coordinator) admitOne(req service.JobRequest, parent *obs.ActiveSpan) (*fleetJob, error) {
-	jobs, err := co.admit([]service.JobRequest{req}, parent)
-	if err != nil {
-		return nil, err
-	}
-	return jobs[0], nil
-}
-
-// SubmitGrid expands machines × kernels × scales row-major — the exact
-// expansion the single box performs — and admits the whole grid
-// all-or-nothing.
-func (co *Coordinator) SubmitGrid(req service.GridRequest) ([]string, error) {
-	if len(req.Machines) == 0 || len(req.Kernels) == 0 {
-		return nil, fmt.Errorf("%w: a grid needs at least one machine and one kernel", service.ErrBadRequest)
-	}
-	scales := req.Scales
-	if len(scales) == 0 {
-		scales = []int{1}
-	}
-	var reqs []service.JobRequest
-	for _, m := range req.Machines {
-		for _, k := range req.Kernels {
-			for _, sc := range scales {
-				reqs = append(reqs, service.JobRequest{
-					Machine: m, Kernel: k, Scale: sc, Seed: req.Seed, Priority: req.Priority,
-				})
-			}
-		}
-	}
-	// Grid-expanded jobs each root their own trace (one trace per job);
-	// only a single-job submit continues the caller's trace.
-	jobs, err := co.admit(reqs, nil)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, len(jobs))
-	for i, j := range jobs {
-		ids[i] = j.id
-	}
-	return ids, nil
-}
-
-// admit validates every request, checks fleet-wide backpressure, and
-// registers + dispatches the batch all-or-nothing.
-func (co *Coordinator) admit(reqs []service.JobRequest, parent *obs.ActiveSpan) ([]*fleetJob, error) {
-	keys := make([]string, len(reqs))
-	for i, r := range reqs {
-		k, err := shardKey(r)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = k
-	}
-	if co.liveReplicas() == 0 {
-		// The whole fleet is unreachable: same degraded answer as a
-		// saturated single box, so clients back off instead of erroring.
-		return nil, fmt.Errorf("%w: no live replicas", service.ErrQueueFull)
-	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if co.inflight+len(reqs) > co.opts.QueueDepth {
-		if len(reqs) > 1 {
-			return nil, fmt.Errorf("%w: grid of %d jobs exceeds free fleet capacity %d",
-				service.ErrQueueFull, len(reqs), co.opts.QueueDepth-co.inflight)
-		}
-		return nil, service.ErrQueueFull
-	}
-	jobs := make([]*fleetJob, len(reqs))
-	for i, r := range reqs {
-		co.nextSeq++
-		j := &fleetJob{
-			id:        fmt.Sprintf("f-%08d", co.nextSeq),
-			req:       r,
-			key:       keys[i],
-			shard:     co.shardOf(keys[i]),
-			state:     service.StateQueued,
-			submitted: time.Now(),
-			terminal:  make(chan struct{}),
-			subs:      make(map[chan service.Event]struct{}),
-		}
-		if parent != nil {
-			j.span = parent.StartChild("job " + j.id)
-		} else {
-			j.span = co.spans.StartRoot("job "+j.id, obs.SpanContext{})
-		}
-		j.span.SetAttr("job", j.id)
-		j.span.SetAttr("shard", strconv.Itoa(j.shard))
-		j.span.SetAttr("shard_key", j.key)
-		if r.Kernel != "" {
-			j.span.SetAttr("kernel", r.Kernel)
-		}
-		if r.TraceDigest != "" {
-			j.span.SetAttr("trace_digest", r.TraceDigest)
-		}
-		j.traceID = j.span.TraceID()
-		co.jobs[j.id] = j
-		co.order = append(co.order, j.id)
-		co.inflight++
-		co.submitted.Add(1)
-		jobs[i] = j
-		co.wg.Add(1)
-		go co.dispatch(j)
-	}
-	co.evictLocked()
-	co.logger.Info("fleet admitted", "jobs", len(jobs), "inflight", co.inflight)
-	return jobs, nil
-}
-
-// evictLocked drops the oldest terminal records past the retention
-// bound; co.mu must be held.
-func (co *Coordinator) evictLocked() {
-	if len(co.jobs) <= co.opts.MaxJobRecords {
-		return
-	}
-	kept := co.order[:0]
-	for i, id := range co.order {
-		if len(co.jobs) <= co.opts.MaxJobRecords {
-			kept = append(kept, co.order[i:]...)
-			break
-		}
-		j := co.jobs[id]
-		if j == nil {
-			continue
-		}
-		if j.isTerminal() {
-			delete(co.jobs, id)
-			continue
-		}
-		kept = append(kept, id)
-	}
-	co.order = kept
-}
-
-// Status returns a job's status snapshot.
-func (co *Coordinator) Status(id string) (service.JobStatus, error) {
-	co.mu.Lock()
-	j, ok := co.jobs[id]
-	co.mu.Unlock()
-	if !ok {
-		return service.JobStatus{}, service.ErrNoSuchJob
-	}
-	return j.status(), nil
-}
+// errShutdown fails the jobs a closing coordinator had not finished.
+var errShutdown = errors.New("fleet: coordinator shut down before the job completed")
 
 // dispatch walks the failover ring until the job reaches a terminal
 // state: home replica first, then the next live replica in ring order.
@@ -362,63 +237,55 @@ func (co *Coordinator) Status(id string) (service.JobStatus, error) {
 // exhausted retries) costs a resubmission elsewhere — bounded
 // duplicate work, since the shared content-addressed cache absorbs
 // anything the failed replica already published.
-func (co *Coordinator) dispatch(j *fleetJob) {
-	defer co.wg.Done()
-	defer co.finishInflight()
+func (d *dispatcher) dispatch(j *service.Job, shard int) {
+	defer d.wg.Done()
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 && attempt%len(co.replicas) == 0 {
+		if attempt > 0 && attempt%len(d.replicas) == 0 {
 			// A full ring failed: pause a probe period so the loop
 			// paces the fleet's recovery instead of hammering it.
 			select {
-			case <-co.ctx.Done():
-				j.fail("fleet: coordinator shut down before the job completed", "")
+			case <-d.ctx.Done():
+				j.Finish(stats.Results{}, errShutdown, "")
 				return
-			case <-time.After(co.opts.ProbeInterval):
+			case <-time.After(d.opts.ProbeInterval):
 			}
 		}
-		r := co.pick(j.shard, attempt)
+		r := d.pick(shard, attempt)
 		if r == nil {
 			// Nothing live right now: wait a probe period for the
 			// health loop to resurrect something, then rescan.
 			select {
-			case <-co.ctx.Done():
-				j.fail("fleet: coordinator shut down before the job completed", "")
+			case <-d.ctx.Done():
+				j.Finish(stats.Results{}, errShutdown, "")
 				return
-			case <-time.After(co.opts.ProbeInterval):
+			case <-time.After(d.opts.ProbeInterval):
 				continue
 			}
 		}
 		if attempt > 0 {
-			co.resubmits.Add(1)
-			co.logger.Warn("fleet resubmitting shard",
-				"job", j.id, "replica", r.name, "attempt", attempt,
-				"trace_id", j.traceID)
+			d.resubmits.Add(1)
+			d.logger.Warn("fleet resubmitting shard",
+				"job", j.ID(), "replica", r.name, "attempt", attempt,
+				"trace_id", j.TraceID())
 		}
 		// One span per dispatch attempt, all siblings under the job
 		// span: a failover shows up in the timeline as a second
 		// fleet.dispatch span with attempt=1 next to the failed one.
-		sp := j.span.StartChild("fleet.dispatch")
+		sp := j.Span().StartChild("fleet.dispatch")
 		sp.SetAttr("replica", r.name)
 		sp.SetAttr("attempt", strconv.Itoa(attempt))
-		done := co.runOn(r, j, sp)
+		done := d.runOn(r, j, sp)
 		sp.SetAttr("delivered", strconv.FormatBool(done))
 		sp.End()
 		if done {
 			return
 		}
 		r.dispatchFailed()
-		if co.ctx.Err() != nil {
-			j.fail("fleet: coordinator shut down before the job completed", "")
+		if d.ctx.Err() != nil {
+			j.Finish(stats.Results{}, errShutdown, "")
 			return
 		}
 	}
-}
-
-// finishInflight releases the job's admission slot.
-func (co *Coordinator) finishInflight() {
-	co.mu.Lock()
-	co.inflight--
-	co.mu.Unlock()
 }
 
 // runOn runs the whole shard lifecycle against one replica in one
@@ -430,20 +297,20 @@ func (co *Coordinator) finishInflight() {
 // the ring should move on. The dispatch-attempt span rides the context
 // so the replica-bound submit carries a traceparent and the replica's
 // job continues this job's trace.
-func (co *Coordinator) runOn(r *replica, j *fleetJob, sp *obs.ActiveSpan) (delivered bool) {
-	ctx := obs.NewContext(co.ctx, sp)
+func (d *dispatcher) runOn(r *replica, j *service.Job, sp *obs.ActiveSpan) (delivered bool) {
+	ctx := obs.NewContext(d.ctx, sp)
 	// The bracket opens before the send: a replica killed after
 	// admitting the shard but before its first line arrives has
 	// orphaned it all the same.
 	r.started()
 	defer func() { r.finished(delivered) }()
-	st, err := r.c.SubmitStream(ctx, j.req, func(ev service.Event) error {
-		j.observe(ev, r.name)
+	st, err := r.c.SubmitStream(ctx, j.Request(), func(ev service.Event) error {
+		j.Forward(ev, r.name)
 		return nil
 	})
 	if err != nil {
 		if st.ID == "" {
-			co.logger.Warn("fleet submit failed", "job", j.id, "replica", r.name, "error", err)
+			d.logger.Warn("fleet submit failed", "job", j.ID(), "replica", r.name, "error", err)
 			return false
 		}
 		// Stream broke before a terminal event: poll once — the job may
@@ -451,214 +318,93 @@ func (co *Coordinator) runOn(r *replica, j *fleetJob, sp *obs.ActiveSpan) (deliv
 		var serr error
 		st, serr = r.c.Status(ctx, st.ID)
 		if serr != nil || (st.State != service.StateDone && st.State != service.StateFailed) {
-			co.logger.Warn("fleet stream broke", "job", j.id, "replica", r.name, "error", err)
+			d.logger.Warn("fleet stream broke", "job", j.ID(), "replica", r.name, "error", err)
 			return false
 		}
 	}
 	switch st.State {
 	case service.StateDone:
-		j.complete(st, r.name)
-		co.done.Add(1)
-		co.logger.Info("fleet job done", "job", j.id, "replica", r.name, "trace_id", j.traceID)
+		var res stats.Results
+		if st.Results != nil {
+			res = *st.Results
+		}
+		j.Finish(res, nil, r.name)
+		d.logger.Info("fleet job done", "job", j.ID(), "replica", r.name, "trace_id", j.TraceID())
 		return true
 	case service.StateFailed:
 		// The simulator is deterministic: a failed simulation fails
 		// everywhere. Retrying elsewhere would only duplicate the loss.
-		j.fail(st.Error, r.name)
-		co.failed.Add(1)
-		co.logger.Info("fleet job failed", "job", j.id, "replica", r.name, "error", st.Error, "trace_id", j.traceID)
+		j.Finish(stats.Results{}, errors.New(st.Error), r.name)
+		d.logger.Info("fleet job failed", "job", j.ID(), "replica", r.name, "error", st.Error, "trace_id", j.TraceID())
 		return true
 	default:
-		co.logger.Warn("fleet replica returned non-terminal state",
-			"job", j.id, "replica", r.name, "state", st.State)
+		d.logger.Warn("fleet replica returned non-terminal state",
+			"job", j.ID(), "replica", r.name, "state", st.State)
 		return false
 	}
 }
 
-// fleetJob is the coordinator's job record: the same
-// subscribe/broadcast shape as the single box's job, holding the
-// remote result once a replica delivers it.
-type fleetJob struct {
-	id    string
-	req   service.JobRequest
-	key   string // shard key (fingerprint)
-	shard int    // home replica index
-
-	// span is the job's root (or request-parented) trace span, assigned
-	// once in admit before the dispatch goroutine starts; traceID is its
-	// immutable trace id, safe to read without j.mu.
-	span    *obs.ActiveSpan
-	traceID string
-
-	mu        sync.Mutex
-	state     string
-	replica   string // replica that delivered the terminal state
-	errMsg    string
-	results   *stats.Results
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	last      service.Event
-
-	terminal chan struct{}
-	subs     map[chan service.Event]struct{}
+// ReplicaStatus is one replica's slice of the fleet statsz payload.
+type ReplicaStatus struct {
+	Name       string `json:"name"`
+	Base       string `json:"base"`
+	State      string `json:"state"`
+	InFlight   int    `json:"in_flight"`
+	Dispatched int64  `json:"dispatched"`
+	Completed  int64  `json:"completed"`
 }
 
-func (j *fleetJob) isTerminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == service.StateDone || j.state == service.StateFailed
+// CoordinatorStats is the coordinator section of fleet statsz.
+type CoordinatorStats struct {
+	Capacity   int   `json:"capacity"`
+	InFlight   int   `json:"in_flight"`
+	Submitted  int64 `json:"submitted"`
+	Done       int64 `json:"done"`
+	Failed     int64 `json:"failed"`
+	Resubmits  int64 `json:"resubmits"`
+	LiveShards int   `json:"live_replicas"`
 }
 
-// status snapshots the job in the single box's wire shape, plus the
-// replica attribution (omitted from JSON while empty, so a 1-replica
-// fleet's payloads only differ in that one field).
-func (j *fleetJob) status() service.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.statusLocked()
+// Stats is the GET /v1/statsz payload of a coordinator: fleet-shaped
+// (role distinguishes it from a replica's payload), same schema
+// versioning discipline.
+type Stats struct {
+	SchemaVersion int              `json:"schema_version"`
+	Role          string           `json:"role"`
+	UptimeSec     float64          `json:"uptime_sec"`
+	Coordinator   CoordinatorStats `json:"coordinator"`
+	Replicas      []ReplicaStatus  `json:"replicas"`
 }
 
-// statusLocked is status with j.mu held.
-func (j *fleetJob) statusLocked() service.JobStatus {
-	return service.JobStatus{
-		ID:          j.id,
-		State:       j.state,
-		Kernel:      j.req.Kernel,
-		Scale:       j.req.Scale,
-		Seed:        j.req.Seed,
-		TraceDigest: j.req.TraceDigest,
-		Priority:    j.req.Priority,
-		Replica:     j.replica,
-		TraceID:     j.traceID,
-		SubmittedAt: j.submitted,
-		StartedAt:   j.started,
-		FinishedAt:  j.finished,
-		Error:       j.errMsg,
-		Results:     j.results,
+// stats folds the server's job counters and each replica's health into
+// the fleet statsz shape.
+func (d *dispatcher) stats() Stats {
+	ss := d.srv.Stats()
+	st := Stats{
+		SchemaVersion: service.SchemaVersion,
+		Role:          "coordinator",
+		UptimeSec:     ss.UptimeSec,
+		Coordinator: CoordinatorStats{
+			Capacity:   ss.Queue.Capacity,
+			InFlight:   ss.Queue.Depth + ss.Queue.Running,
+			Submitted:  ss.Queue.Submitted,
+			Done:       ss.Queue.Done,
+			Failed:     ss.Queue.Failed,
+			Resubmits:  d.resubmits.Load(),
+			LiveShards: d.liveReplicas(),
+		},
 	}
-}
-
-// observe forwards one replica event to subscribers, tracking the
-// running transition. Terminal events are NOT forwarded here — the
-// terminal broadcast happens exactly once in complete/fail, so a
-// failover cannot leak a premature terminal line. The replica's own
-// job status is dropped: the coordinator's lines carry the
-// coordinator's.
-func (j *fleetJob) observe(ev service.Event, replica string) {
-	if ev.State == service.StateDone || ev.State == service.StateFailed {
-		return
+	for _, r := range d.replicas {
+		r.mu.Lock()
+		st.Replicas = append(st.Replicas, ReplicaStatus{
+			Name:       r.name,
+			Base:       r.base,
+			State:      r.state.String(),
+			InFlight:   r.inflight,
+			Dispatched: r.dispatched,
+			Completed:  r.completed,
+		})
+		r.mu.Unlock()
 	}
-	ev.Job = nil
-	j.mu.Lock()
-	if j.state == service.StateQueued && ev.State == service.StateRunning {
-		j.state = service.StateRunning
-		j.started = time.Now()
-		j.replica = replica
-	}
-	j.last = ev
-	subs := make([]chan service.Event, 0, len(j.subs))
-	for ch := range j.subs {
-		subs = append(subs, ch)
-	}
-	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default: // a slow subscriber drops progress, never blocks the fleet
-		}
-	}
-}
-
-// complete records the terminal done state exactly once.
-func (j *fleetJob) complete(st service.JobStatus, replica string) {
-	j.mu.Lock()
-	if j.state == service.StateDone || j.state == service.StateFailed {
-		j.mu.Unlock()
-		return
-	}
-	j.state = service.StateDone
-	j.replica = replica
-	j.results = st.Results
-	if j.started.IsZero() {
-		j.started = st.StartedAt
-	}
-	j.finished = time.Now()
-	j.mu.Unlock()
-	j.span.SetAttr("state", service.StateDone)
-	j.span.SetAttr("replica", replica)
-	j.span.End()
-	close(j.terminal)
-}
-
-// fail records the terminal failed state exactly once.
-func (j *fleetJob) fail(msg, replica string) {
-	j.mu.Lock()
-	if j.state == service.StateDone || j.state == service.StateFailed {
-		j.mu.Unlock()
-		return
-	}
-	j.state = service.StateFailed
-	j.errMsg = msg
-	if replica != "" {
-		j.replica = replica
-	}
-	j.finished = time.Now()
-	j.mu.Unlock()
-	j.span.SetAttr("state", service.StateFailed)
-	j.span.SetAttr("error", msg)
-	if replica != "" {
-		j.span.SetAttr("replica", replica)
-	}
-	j.span.End()
-	close(j.terminal)
-}
-
-// subscribe registers for events and returns the channel plus the
-// current snapshot-as-event; withStatus puts the job's status on the
-// snapshot even when the job is not yet terminal.
-func (j *fleetJob) subscribe(withStatus bool) (chan service.Event, service.Event) {
-	ch := make(chan service.Event, 16)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.subs[ch] = struct{}{}
-	ev := j.snapshotEventLocked()
-	if withStatus && ev.Job == nil {
-		st := j.statusLocked()
-		ev.Job = &st
-	}
-	return ch, ev
-}
-
-func (j *fleetJob) unsubscribe(ch chan service.Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	delete(j.subs, ch)
-}
-
-// snapshotEventLocked renders the current state as one event line; a
-// terminal line carries the final status. Synthesized lines carry the
-// coordinator-side trace id; forwarded
-// replica progress already carries the same id, because the replica's
-// job continued this trace over the dispatch hop.
-func (j *fleetJob) snapshotEventLocked() service.Event {
-	switch j.state {
-	case service.StateRunning:
-		if j.last.State == service.StateRunning {
-			return j.last
-		}
-		return service.Event{State: service.StateRunning, TraceID: j.traceID}
-	case service.StateDone, service.StateFailed:
-		st := j.statusLocked()
-		return service.Event{State: j.state, Error: j.errMsg, TraceID: j.traceID, Job: &st}
-	default:
-		return service.Event{State: service.StateQueued, TraceID: j.traceID}
-	}
-}
-
-// terminalEvent is the final stream line.
-func (j *fleetJob) terminalEvent() service.Event {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snapshotEventLocked()
+	return st
 }

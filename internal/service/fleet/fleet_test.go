@@ -8,6 +8,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -110,12 +111,18 @@ func waitJob(t *testing.T, co *Coordinator, id string) service.JobStatus {
 	return service.JobStatus{}
 }
 
+// shardKey is the key a kernel job is sharded by: its fingerprint.
+func shardKey(t *testing.T, r service.JobRequest) string {
+	t.Helper()
+	return runner.Job{Config: mustBuild(t, r.Machine), Kernel: r.Kernel, Scale: r.Scale, Seed: r.Seed}.Fingerprint()
+}
+
 // TestShardAssignmentDeterministic: the home shard is a pure function
 // of the fingerprint and the configured list — stable across calls,
 // coordinators, and unaffected by health.
 func TestShardAssignmentDeterministic(t *testing.T) {
-	co := &Coordinator{replicas: make([]*replica, 3)}
-	co2 := &Coordinator{replicas: make([]*replica, 3)}
+	d := &dispatcher{replicas: make([]*replica, 3)}
+	d2 := &dispatcher{replicas: make([]*replica, 3)}
 	reqs := []service.JobRequest{
 		{Machine: config.MachineSpec{Clusters: "2"}, Kernel: "rawcaudio"},
 		{Machine: config.MachineSpec{Clusters: "4"}, Kernel: "gsmdec"},
@@ -123,25 +130,20 @@ func TestShardAssignmentDeterministic(t *testing.T) {
 		{Machine: config.MachineSpec{Clusters: "1", VP: "stride"}, Kernel: "cjpeg", Seed: 7},
 	}
 	for _, r := range reqs {
-		key, err := shardKey(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key2, _ := shardKey(r); key2 != key {
+		key := shardKey(t, r)
+		if key2 := shardKey(t, r); key2 != key {
 			t.Errorf("shardKey unstable for %+v", r)
 		}
-		if co.shardOf(key) != co2.shardOf(key) {
+		if d.shardOf(key) != d2.shardOf(key) {
 			t.Errorf("shardOf differs across coordinators for %q", key)
 		}
-		if s := co.shardOf(key); s < 0 || s >= 3 {
+		if s := d.shardOf(key); s < 0 || s >= 3 {
 			t.Errorf("shardOf(%q) = %d out of range", key, s)
 		}
 	}
 	// Different scales/seeds are different shards keys (they are
 	// different cache entries, so they may land on different homes).
-	k1, _ := shardKey(reqs[1])
-	k2, _ := shardKey(reqs[2])
-	if k1 == k2 {
+	if shardKey(t, reqs[1]) == shardKey(t, reqs[2]) {
 		t.Error("distinct jobs share a shard key")
 	}
 }
@@ -149,15 +151,19 @@ func TestShardAssignmentDeterministic(t *testing.T) {
 // TestShardKeyValidates: a bad spec is rejected at the coordinator with
 // the single box's invalid_spec discipline, before any dispatch.
 func TestShardKeyValidates(t *testing.T) {
+	tf := newTestFleet(t, 1, instantResults, nil)
 	for _, req := range []service.JobRequest{
 		{Machine: config.MachineSpec{Clusters: "2"}},                                            // no kernel
 		{Machine: config.MachineSpec{Clusters: "2"}, Kernel: "no-such-kernel"},                  // unknown kernel
 		{Machine: config.MachineSpec{Clusters: "three"}, Kernel: "rawcaudio"},                   // bad machine
 		{Machine: config.MachineSpec{Clusters: "2"}, Kernel: "rawcaudio", TraceDigest: "sha:x"}, // both
 	} {
-		if _, err := shardKey(req); err == nil {
-			t.Errorf("shardKey accepted %+v", req)
+		if _, err := tf.co.Submit(req); !errors.Is(err, service.ErrBadRequest) {
+			t.Errorf("Submit(%+v) err = %v, want ErrBadRequest", req, err)
 		}
+	}
+	if n := tf.co.Stats().Replicas[0].Dispatched; n != 0 {
+		t.Errorf("%d rejected jobs reached a replica", n)
 	}
 }
 
@@ -290,24 +296,24 @@ func TestFleetNoLiveReplicas(t *testing.T) {
 		ts.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for tf.co.liveReplicas() > 0 && time.Now().Before(deadline) {
+	for tf.co.d.liveReplicas() > 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := tf.co.liveReplicas(); n != 0 {
+	if n := tf.co.d.liveReplicas(); n != 0 {
 		t.Fatalf("%d replicas still live after closing all servers", n)
 	}
 	_, err := tf.co.Submit(service.JobRequest{Machine: config.MachineSpec{Clusters: "2"}, Kernel: "rawcaudio"})
 	if err == nil {
 		t.Fatal("submit accepted with zero live replicas")
 	}
-	status, env := service.Envelope(err)
-	if status != http.StatusServiceUnavailable || env.Error.Code != service.CodeQueueFull {
-		t.Errorf("no-live-replicas error = %d %s, want 503 queue_full", status, env.Error.Code)
+	if !errors.Is(err, service.ErrQueueFull) {
+		t.Errorf("no-live-replicas error = %v, want ErrQueueFull (503 queue_full)", err)
 	}
 }
 
 // TestFleetStatszAndEnvelopes: the statsz payload carries the fleet
-// shape and unknown paths still answer versioned envelopes.
+// shape. The envelopes of unknown paths, wrong methods and unknown
+// jobs are checked on every deployment by TestHTTPContract.
 func TestFleetStatszAndEnvelopes(t *testing.T) {
 	tf := newTestFleet(t, 2, func(i int) func(runner.Job) (stats.Results, error) {
 		return func(j runner.Job) (stats.Results, error) {
@@ -347,32 +353,6 @@ func TestFleetStatszAndEnvelopes(t *testing.T) {
 	}
 	if dispatched != 1 {
 		t.Errorf("dispatched = %d, want 1", dispatched)
-	}
-
-	// Unknown path and wrong method both get envelopes.
-	for _, probe := range []struct {
-		method, path string
-		wantStatus   int
-		wantCode     string
-	}{
-		{http.MethodGet, "/v1/nope", http.StatusNotFound, service.CodeNotFound},
-		{http.MethodDelete, "/v1/jobs/x", http.StatusMethodNotAllowed, service.CodeMethodNotAllowed},
-		{http.MethodGet, "/v1/jobs/f-99999999", http.StatusNotFound, service.CodeNotFound},
-	} {
-		req, _ := http.NewRequest(probe.method, ts.URL+probe.path, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != probe.wantStatus {
-			t.Errorf("%s %s = %d, want %d", probe.method, probe.path, resp.StatusCode, probe.wantStatus)
-		}
-		var env service.ErrorEnvelope
-		if err := json.Unmarshal(data, &env); err != nil || env.Error.Code != probe.wantCode {
-			t.Errorf("%s %s envelope = %s, want code %s", probe.method, probe.path, data, probe.wantCode)
-		}
 	}
 }
 

@@ -124,33 +124,33 @@ func (r *replica) probeResult(ok bool, downAfter int) replicaHealth {
 
 // probeLoop probes every replica each interval, concurrently, until
 // Close.
-func (co *Coordinator) probeLoop() {
-	defer co.wg.Done()
-	ticker := time.NewTicker(co.opts.ProbeInterval)
+func (d *dispatcher) probeLoop() {
+	defer d.wg.Done()
+	ticker := time.NewTicker(d.opts.ProbeInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-co.ctx.Done():
+		case <-d.ctx.Done():
 			return
 		case <-ticker.C:
-			co.probeAll()
+			d.probeAll()
 		}
 	}
 }
 
 // probeAll runs one probe round.
-func (co *Coordinator) probeAll() {
+func (d *dispatcher) probeAll() {
 	var wg sync.WaitGroup
-	for _, r := range co.replicas {
+	for _, r := range d.replicas {
 		wg.Add(1)
 		go func(r *replica) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(co.ctx, co.opts.ProbeInterval)
+			ctx, cancel := context.WithTimeout(d.ctx, d.opts.ProbeInterval)
 			defer cancel()
 			before := r.health()
-			after := r.probeResult(r.c.Health(ctx) == nil, co.opts.DownAfter)
+			after := r.probeResult(r.c.Health(ctx) == nil, d.opts.DownAfter)
 			if before != after {
-				co.logger.Info("replica health changed",
+				d.logger.Info("replica health changed",
 					"replica", r.name, "from", before.String(), "to", after.String())
 			}
 		}(r)
@@ -159,9 +159,9 @@ func (co *Coordinator) probeAll() {
 }
 
 // liveReplicas counts replicas currently accepting new shards.
-func (co *Coordinator) liveReplicas() int {
+func (d *dispatcher) liveReplicas() int {
 	n := 0
-	for _, r := range co.replicas {
+	for _, r := range d.replicas {
 		if r.acceptsWork() {
 			n++
 		}
@@ -173,11 +173,11 @@ func (co *Coordinator) liveReplicas() int {
 // shard: scan forward from (home+attempt) mod N to the next replica
 // accepting work. attempt 0 on a healthy fleet is always the home
 // replica itself — the deterministic default path.
-func (co *Coordinator) pick(home, attempt int) *replica {
-	n := len(co.replicas)
+func (d *dispatcher) pick(home, attempt int) *replica {
+	n := len(d.replicas)
 	start := (home + attempt) % n
 	for i := 0; i < n; i++ {
-		r := co.replicas[(start+i)%n]
+		r := d.replicas[(start+i)%n]
 		if r.acceptsWork() {
 			return r
 		}

@@ -306,7 +306,7 @@ func TestDispatchPollsAfterCutStream(t *testing.T) {
 	if fin.State != service.StateDone || fin.Results == nil || fin.Results.Cycles != 7 {
 		t.Fatalf("job after a cut stream = %+v, want the polled done status", fin)
 	}
-	if p, q, r := posts.Load(), polls.Load(), co.resubmits.Load(); p != 1 || q != 1 || r != 0 {
+	if p, q, r := posts.Load(), polls.Load(), co.d.resubmits.Load(); p != 1 || q != 1 || r != 0 {
 		t.Errorf("posts=%d polls=%d resubmits=%d, want 1, 1, 0", p, q, r)
 	}
 }

@@ -71,7 +71,7 @@ func TestFleetHopSharesTrace(t *testing.T) {
 	}
 
 	// Coordinator side: job root + at least one dispatch attempt.
-	coSpans := waitSpans(t, tf.co.spans, st.TraceID, 1)
+	coSpans := waitSpans(t, tf.co.Spans(), st.TraceID, 1)
 	var jobRoot obs.Span
 	for _, sp := range coSpans {
 		if strings.HasPrefix(sp.Name, "job f-") {
@@ -165,11 +165,11 @@ func TestFailoverSecondDispatchSpan(t *testing.T) {
 	if fin.State != service.StateDone {
 		t.Fatalf("job after failover = %+v", fin)
 	}
-	if n := tf.co.resubmits.Load(); n < 1 {
+	if n := tf.co.d.resubmits.Load(); n < 1 {
 		t.Fatalf("resubmits = %d, want >= 1", n)
 	}
 
-	spans := waitSpans(t, tf.co.spans, st.TraceID, 2)
+	spans := waitSpans(t, tf.co.Spans(), st.TraceID, 2)
 	dispatches := dispatchSpans(spans)
 	if len(dispatches) < 2 {
 		t.Fatalf("trace has %d dispatch spans after a failover, want >= 2: %+v", len(dispatches), spans)

@@ -28,6 +28,10 @@ package service
 // trace_store_disabled. Unrouted paths and wrong methods get envelopes
 // too (not_found / method_not_allowed), so no caller ever has to parse
 // a plain-text error.
+//
+// A fleet coordinator serves these same routes through this same code;
+// only the statsz and healthz bodies and the replica spans merged into
+// a job's trace come from its backend.
 
 import (
 	"context"
@@ -339,7 +343,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	ri := infoFrom(r.Context())
 	ri.jobID = st.ID
-	if WantsEvents(r) {
+	if strings.Contains(r.Header.Get("Accept"), NDJSONType) {
 		writeEvents(w, r, http.StatusAccepted, j, true)
 		return
 	}
@@ -390,18 +394,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // that accepts it is answered with the job's events.
 const NDJSONType = "application/x-ndjson"
 
-// WantsEvents reports whether a job submission asked for the streamed
-// form.
-func WantsEvents(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), NDJSONType)
-}
-
 // writeEvents streams j's lifecycle and progress as NDJSON until the
 // job reaches a terminal state or the client goes away. The first line
 // is always the current snapshot, so a late subscriber of a done job
 // still gets exactly one meaningful line; withStatus puts the job's
 // status on it. The terminal line carries the final status.
-func writeEvents(w http.ResponseWriter, r *http.Request, code int, j *job, withStatus bool) {
+func writeEvents(w http.ResponseWriter, r *http.Request, code int, j *Job, withStatus bool) {
 	ch, snap := j.subscribe(withStatus)
 	defer j.unsubscribe(ch)
 	w.Header().Set("Content-Type", NDJSONType)
@@ -464,9 +462,9 @@ func (s *Server) handleUploadTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	writeJSON(w, http.StatusOK, s.be.Healthz())
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	writeJSON(w, http.StatusOK, s.be.Statsz())
 }

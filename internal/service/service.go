@@ -12,12 +12,15 @@
 // replicas executing a job space produce identical results, in the
 // spirit of deterministic work-sharding for parallel search frameworks.
 //
-// cmd/clusterd wraps this package in a binary; service/client speaks
-// the HTTP API (clustersim -remote uses it).
+// The same Server is the front end of a fleet coordinator: NewWith
+// swaps the local worker pool for another Backend (service/fleet's
+// dispatcher), and the routes, tenants, job records, tracez and
+// /metrics stay this package's. cmd/clusterd wraps both in a binary;
+// service/client speaks the HTTP API (clustersim -remote uses it).
 package service
 
 import (
-	"container/heap"
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -199,7 +202,8 @@ type ServerStats struct {
 type Options struct {
 	// Workers bounds concurrent simulations (<=0 = GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds queued-but-not-running jobs (<=0 = 1024).
+	// QueueDepth bounds admitted jobs (<=0 = 1024): the queued ones on a
+	// single box, the queued and running ones on a fleet coordinator.
 	QueueDepth int
 	// CacheDir roots the persistent result cache; empty disables it
 	// (the in-memory memo still deduplicates within the process).
@@ -237,13 +241,49 @@ type Options struct {
 	Run func(runner.Job) (stats.Results, error)
 }
 
-// Server is the simulation job server. Create with New, expose with
-// Handler, stop with Close.
+// A Backend runs the jobs a Server admits. The Server owns everything
+// a caller sees: the routes and middleware, authentication, tenant
+// quotas, the job table, the error envelopes, tracez and /metrics. The
+// backend decides only what differs between a single box and a fleet
+// coordinator: how a trace job is keyed, how many jobs fit, how a job
+// runs, the statsz and healthz bodies, and the spans recorded
+// elsewhere for a trace. New runs jobs on a local worker pool; package
+// fleet dispatches them to replicas.
+type Backend interface {
+	// Names returns the service name on the server's spans and the
+	// prefix of its job IDs.
+	Names() (service, jobPrefix string)
+	// TraceJob keys a job that replays the uploaded trace digest on
+	// machine cfg; a kernel job's key is its fingerprint. Failures wrap
+	// ErrBadRequest.
+	TraceJob(cfg config.Config, digest string) (runner.Job, string, error)
+	// Free returns how many more jobs fit beside the queued and running
+	// ones, or an error wrapping ErrQueueFull when none can run at all.
+	Free(queued, running int) (int, error)
+	// Start takes one admitted job. It is called with the server's lock
+	// held and must not block; the job reports back through its Forward
+	// and Finish methods.
+	Start(j *Job)
+	// Statsz and Healthz are the bodies of GET /v1/statsz and
+	// GET /v1/healthz.
+	Statsz() any
+	Healthz() any
+	// JobSpans returns the spans recorded outside this server for a
+	// trace; GET /v1/jobs/{id}/trace merges them with the server's own.
+	JobSpans(ctx context.Context, traceID string) []obs.Span
+	// Close stops the backend and waits for its goroutines.
+	Close()
+}
+
+// Server is the simulation job server. Create with New (or NewWith),
+// expose with Handler, stop with Close.
 type Server struct {
-	opts  Options
-	eng   *runner.Engine
-	store *trace.Store // nil when disabled
-	start time.Time
+	opts      Options
+	be        Backend
+	eng       *runner.Engine // nil unless jobs run locally
+	store     *trace.Store   // nil when disabled or not local
+	start     time.Time
+	jobPrefix string
 
 	// Tenant registry: immutable after New. multiTenant switches the
 	// HTTP layer into key-required mode; anonymous is the principal of
@@ -257,36 +297,27 @@ type Server struct {
 	spans   *obs.Collector
 
 	mu      sync.Mutex
-	jobs    map[string]*job
+	jobs    map[string]*Job
 	order   []string // job IDs in submission order, for record eviction
-	queue   jobHeap
 	nextSeq int64
+	queued  int // admitted jobs not yet running
 	running int
 
 	submitted, done, failed atomic.Int64
 
-	// avail carries one token per queued job; workers block on it, so a
-	// token received guarantees a non-empty queue.
-	avail chan struct{}
-	quit  chan struct{}
-	wg    sync.WaitGroup
-
 	// handler is the route table, built once in New (ServeHTTP must not
 	// rebuild a mux per request).
 	handler http.Handler
-
-	// fanouts fans simulation progress out to every service job
-	// currently running one fingerprint (the engine deduplicates
-	// executions; events must not be deduplicated with them). All
-	// registry mutations happen under fanMu so a finishing job's
-	// remove-and-delete cannot race a starting job's lookup-or-create
-	// into a dropped registration.
-	fanMu   sync.Mutex
-	fanouts map[string]*fanout
 }
 
-// New builds and starts a server (its workers run until Close).
-func New(opts Options) (*Server, error) {
+// New builds and starts a server whose jobs run on its own worker pool
+// (the workers run until Close).
+func New(opts Options) (*Server, error) { return NewWith(opts, nil) }
+
+// NewWith builds a server whose admitted jobs run on be. A nil be is
+// the local worker pool of New; Workers, CacheDir, TraceDir,
+// ProgressInterval, MaxTraceBytes and Run configure only that one.
+func NewWith(opts Options, be Backend) (*Server, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 1024
 	}
@@ -300,9 +331,12 @@ func New(opts Options) (*Server, error) {
 		opts.MaxJobRecords = 16384
 	}
 	if opts.MaxJobRecords < opts.QueueDepth {
-		// Every queued job must have a record, so the record bound can
-		// never be tighter than the queue bound.
+		// Every admitted job must have a record, so the record bound can
+		// never be tighter than the admission bound.
 		opts.MaxJobRecords = opts.QueueDepth
+	}
+	if err := validateTenants(opts.Tenants); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	logger := opts.Logger
 	if logger == nil {
@@ -311,148 +345,68 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
 		start:   time.Now(),
-		jobs:    make(map[string]*job),
-		avail:   make(chan struct{}, opts.QueueDepth),
-		quit:    make(chan struct{}),
-		fanouts: make(map[string]*fanout),
+		jobs:    make(map[string]*Job),
 		logger:  logger,
 		metrics: newMetrics(),
-		spans:   obs.NewCollector("clusterd", opts.SpanRing),
-	}
-	if err := validateTenants(opts.Tenants); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
 	}
 	s.tenants, s.anonymous = newTenantStates(opts.Tenants)
 	s.multiTenant = len(opts.Tenants) > 0
-	var cache runner.ResultCache
-	if opts.CacheDir != "" {
-		store, err := runner.NewDirStore(opts.CacheDir)
+	if be == nil {
+		l, err := newLocal(s)
 		if err != nil {
-			return nil, fmt.Errorf("service: result cache: %w", err)
+			return nil, err
 		}
-		cache = runner.NewBlobCache(store)
+		be = l
 	}
-	if opts.TraceDir != "" {
-		st, err := trace.NewStore(opts.TraceDir)
-		if err != nil {
-			return nil, fmt.Errorf("service: trace store: %w", err)
-		}
-		s.store = st
-	}
-	s.eng = runner.New(runner.Options{
-		Workers: opts.Workers,
-		Cache:   cache,
-		Run:     s.simulate,
-	})
+	s.be = be
+	name, prefix := be.Names()
+	s.spans = obs.NewCollector(name, opts.SpanRing)
+	s.jobPrefix = prefix
 	s.handler = s.buildHandler()
-	for i := 0; i < s.eng.Workers(); i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s, nil
-}
-
-// simulate is the engine's run function: the real simulator with
-// progress fanned out to every job sharing the fingerprint, or the
-// injected test stub. The simulation's spans (materialize/run/warmup)
-// parent under the first attached job's run span — the engine
-// deduplicates executions by fingerprint, so the one simulation's
-// timeline lands in one job's trace; the duplicates record a memo-hit
-// via instead.
-func (s *Server) simulate(j runner.Job) (stats.Results, error) {
-	if s.opts.Run != nil {
-		return s.opts.Run(j)
-	}
-	if f := s.fanoutLookup(j.Fingerprint()); f != nil {
-		return runner.SimulateTraced(j, s.opts.ProgressInterval, f.publish, f.parentSpan())
-	}
-	return runner.Simulate(j)
 }
 
 // Spans exposes the tracing collector (the /v1/tracez and
 // /v1/jobs/{id}/trace surfaces; tests read it directly).
 func (s *Server) Spans() *obs.Collector { return s.spans }
 
-// fanoutLookup returns the fanout currently registered for a
-// fingerprint, or nil.
-func (s *Server) fanoutLookup(fp string) *fanout {
-	s.fanMu.Lock()
-	defer s.fanMu.Unlock()
-	return s.fanouts[fp]
-}
-
-// fanoutAttach registers j for progress on its fingerprint, creating
-// the fanout if needed.
-func (s *Server) fanoutAttach(j *job) {
-	s.fanMu.Lock()
-	defer s.fanMu.Unlock()
-	f := s.fanouts[j.fp]
-	if f == nil {
-		f = &fanout{}
-		s.fanouts[j.fp] = f
-	}
-	f.add(j)
-}
-
-// fanoutDetach removes j and drops the fanout when it was the last
-// attached job. Attach and detach share fanMu, so a detach can never
-// delete a fanout a concurrent attach just joined.
-func (s *Server) fanoutDetach(j *job) {
-	s.fanMu.Lock()
-	defer s.fanMu.Unlock()
-	if f := s.fanouts[j.fp]; f != nil && f.remove(j) == 0 {
-		delete(s.fanouts, j.fp)
-	}
-}
-
 // Engine exposes the underlying grid engine (counters for statsz and
-// tests).
+// tests); nil when jobs do not run locally.
 func (s *Server) Engine() *runner.Engine { return s.eng }
 
 // TraceStore exposes the content-addressed trace store (nil when
 // disabled).
 func (s *Server) TraceStore() *trace.Store { return s.store }
 
-// Close stops the workers after their current jobs; queued jobs stay
-// queued (a restarted server re-resolves them from the cache anyway).
-func (s *Server) Close() {
-	close(s.quit)
-	s.wg.Wait()
-}
+// Close stops the backend. A local server's workers stop after their
+// current jobs and queued jobs stay queued (a restarted server
+// re-resolves them from the cache anyway).
+func (s *Server) Close() { s.be.Close() }
 
-// buildJob validates a request into an executable job. Every failure
-// wraps ErrBadRequest.
-func (s *Server) buildJob(req JobRequest) (runner.Job, error) {
+// buildJob validates a request into the job it runs and its key. Every
+// failure wraps ErrBadRequest.
+func (s *Server) buildJob(req JobRequest) (runner.Job, string, error) {
 	cfg, err := req.Machine.Build()
 	if err != nil {
-		return runner.Job{}, fmt.Errorf("%w: machine: %v", ErrBadRequest, err)
+		return runner.Job{}, "", fmt.Errorf("%w: machine: %v", ErrBadRequest, err)
 	}
 	switch {
 	case req.TraceDigest != "" && req.Kernel != "":
-		return runner.Job{}, fmt.Errorf("%w: kernel and trace_digest are mutually exclusive", ErrBadRequest)
+		return runner.Job{}, "", fmt.Errorf("%w: kernel and trace_digest are mutually exclusive", ErrBadRequest)
 	case req.TraceDigest != "":
-		if s.store == nil {
-			return runner.Job{}, fmt.Errorf("%w: this server has no trace store", ErrBadRequest)
-		}
-		path, err := s.store.Path(req.TraceDigest)
-		if err != nil {
-			return runner.Job{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		if !s.store.Has(req.TraceDigest) {
-			return runner.Job{}, fmt.Errorf("%w: trace %s not uploaded", ErrBadRequest, req.TraceDigest)
-		}
-		return runner.Job{Config: cfg, Trace: path}, nil
+		return s.be.TraceJob(cfg, req.TraceDigest)
 	case req.Kernel != "":
 		if _, err := workload.ByName(req.Kernel); err != nil {
-			return runner.Job{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return runner.Job{}, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		return runner.Job{Config: cfg, Kernel: req.Kernel, Scale: req.Scale, Seed: req.Seed}, nil
+		rj := runner.Job{Config: cfg, Kernel: req.Kernel, Scale: req.Scale, Seed: req.Seed}
+		return rj, rj.Fingerprint(), nil
 	default:
-		return runner.Job{}, fmt.Errorf("%w: one of kernel or trace_digest is required", ErrBadRequest)
+		return runner.Job{}, "", fmt.Errorf("%w: one of kernel or trace_digest is required", ErrBadRequest)
 	}
 }
 
-// Submit validates and enqueues one job as the anonymous tenant,
+// Submit validates and admits one job as the anonymous tenant,
 // returning its status snapshot. HTTP submissions go through submitAs
 // with the authenticated tenant instead.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
@@ -460,14 +414,14 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	return st, err
 }
 
-// submitAs validates and enqueues one job for a tenant, enforcing its
+// submitAs validates and admits one job for a tenant, enforcing its
 // quotas at admission, and returns the job with its status at
-// admission (still queued: no worker can pop it before s.mu is
-// released). A non-nil parent span (the HTTP request span)
-// roots the job's trace under the caller's — so a coordinator-
-// dispatched job shares the coordinator's trace id.
-func (s *Server) submitAs(t *tenantState, req JobRequest, parent *obs.ActiveSpan) (*job, JobStatus, error) {
-	rjob, err := s.buildJob(req)
+// admission (still queued: the backend cannot move it before s.mu is
+// released). A non-nil parent span (the HTTP request span) roots the
+// job's trace under the caller's — so a coordinator-dispatched job
+// shares the coordinator's trace id.
+func (s *Server) submitAs(t *tenantState, req JobRequest, parent *obs.ActiveSpan) (*Job, JobStatus, error) {
+	rjob, key, err := s.buildJob(req)
 	if err != nil {
 		return nil, JobStatus{}, err
 	}
@@ -476,14 +430,14 @@ func (s *Server) submitAs(t *tenantState, req JobRequest, parent *obs.ActiveSpan
 	if err := s.admitLocked(t, 1); err != nil {
 		return nil, JobStatus{}, err
 	}
-	j := s.enqueueLocked(t, req, rjob, parent)
+	j := s.enqueueLocked(t, req, rjob, key, parent)
 	s.logger.Info("job submitted",
 		"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "priority", j.priority,
 		"trace_id", j.traceID)
 	return j, j.status(), nil
 }
 
-// SubmitGrid expands the grid row-major and enqueues every job
+// SubmitGrid expands the grid row-major and admits every job
 // all-or-nothing as the anonymous tenant, returning the job IDs in
 // grid order.
 func (s *Server) SubmitGrid(req GridRequest) ([]string, error) {
@@ -491,7 +445,7 @@ func (s *Server) SubmitGrid(req GridRequest) ([]string, error) {
 }
 
 // submitGridAs is SubmitGrid for a tenant: the whole grid must fit the
-// global queue AND the tenant's quotas, or nothing is admitted. Each
+// backend AND the tenant's quotas, or nothing is admitted. Each
 // expanded job roots its own trace (not the submitting request's):
 // the contract is one trace per job, and a thousand-job grid sharing
 // one trace id would make every per-job timeline drag the whole grid
@@ -506,16 +460,18 @@ func (s *Server) submitGridAs(t *tenantState, req GridRequest) ([]string, error)
 	}
 	var reqs []JobRequest
 	var rjobs []runner.Job
+	var keys []string
 	for _, m := range req.Machines {
 		for _, k := range req.Kernels {
 			for _, sc := range scales {
 				jr := JobRequest{Machine: m, Kernel: k, Scale: sc, Seed: req.Seed, Priority: req.Priority}
-				rj, err := s.buildJob(jr)
+				rj, key, err := s.buildJob(jr)
 				if err != nil {
 					return nil, err
 				}
 				reqs = append(reqs, jr)
 				rjobs = append(rjobs, rj)
+				keys = append(keys, key)
 			}
 		}
 	}
@@ -526,27 +482,31 @@ func (s *Server) submitGridAs(t *tenantState, req GridRequest) ([]string, error)
 	}
 	ids := make([]string, len(reqs))
 	for i := range reqs {
-		ids[i] = s.enqueueLocked(t, reqs[i], rjobs[i], nil).id
+		ids[i] = s.enqueueLocked(t, reqs[i], rjobs[i], keys[i], nil).id
 	}
 	s.logger.Info("grid submitted", "tenant", t.cfg.Name, "jobs", len(ids))
 	return ids, nil
 }
 
-// admitLocked is the two-level admission check — global queue bound
-// first (503 queue_full), then the tenant's own quotas (429
+// admitLocked is the two-level admission check — the backend's
+// capacity first (503 queue_full), then the tenant's own quotas (429
 // quota_exceeded); s.mu must be held. Rejections count as load
 // shedding for the tenant and the server.
 func (s *Server) admitLocked(t *tenantState, n int) error {
-	if len(s.queue)+n > s.opts.QueueDepth {
+	free, err := s.be.Free(s.queued, s.running)
+	if err == nil && n > free {
+		err = ErrQueueFull
+		if n > 1 {
+			err = fmt.Errorf("%w: grid of %d jobs exceeds free capacity %d", ErrQueueFull, n, max(free, 0))
+		}
+	}
+	if err != nil {
 		t.shed.Add(1)
 		s.metrics.loadShed("queue_full")
 		s.logger.Warn("load shed: queue full",
-			"tenant", t.cfg.Name, "jobs", n, "queue_depth", len(s.queue), "queue_capacity", s.opts.QueueDepth)
-		if n > 1 {
-			return fmt.Errorf("%w: grid of %d jobs exceeds free queue capacity %d",
-				ErrQueueFull, n, s.opts.QueueDepth-len(s.queue))
-		}
-		return ErrQueueFull
+			"tenant", t.cfg.Name, "jobs", n, "queued", s.queued, "running", s.running,
+			"capacity", s.opts.QueueDepth, "error", err.Error())
+		return err
 	}
 	if quota, limit, ok := t.admitLocked(n); !ok {
 		t.shed.Add(1)
@@ -564,27 +524,26 @@ func (s *Server) admitLocked(t *tenantState, n int) error {
 	return nil
 }
 
-// enqueueLocked registers and queues a validated job for a tenant;
-// s.mu must be held. The admission check happened at the caller, so
-// the avail send cannot block. The requested priority is clamped to
-// the tenant's ceiling here, so the heap never sees a priority the
+// enqueueLocked registers an admitted job for a tenant and hands it to
+// the backend; s.mu must be held. The requested priority is clamped to
+// the tenant's ceiling here, so the backend never sees a priority the
 // tenant was not entitled to.
 //
 // The job's root span starts here — admission IS the start of the
 // job's timeline — as a child of the submitting request's span when
-// one is given (continuing a coordinator's trace across the hop), or
-// as a fresh root otherwise. The queue.wait child starts immediately
-// and ends when a worker picks the job up.
-func (s *Server) enqueueLocked(t *tenantState, req JobRequest, rjob runner.Job, parent *obs.ActiveSpan) *job {
+// one is given (continuing a caller's trace across a hop), or as a
+// fresh root otherwise.
+func (s *Server) enqueueLocked(t *tenantState, req JobRequest, rjob runner.Job, key string, parent *obs.ActiveSpan) *Job {
 	s.nextSeq++
-	j := &job{
-		id:        fmt.Sprintf("j-%08d", s.nextSeq),
+	j := &Job{
+		srv:       s,
+		id:        fmt.Sprintf("%s-%08d", s.jobPrefix, s.nextSeq),
 		seq:       s.nextSeq,
 		priority:  t.clampPriority(req.Priority),
 		tenant:    t,
 		req:       req,
 		rjob:      rjob,
-		fp:        rjob.Fingerprint(),
+		fp:        key,
 		state:     StateQueued,
 		submitted: time.Now(),
 		terminal:  make(chan struct{}),
@@ -597,7 +556,6 @@ func (s *Server) enqueueLocked(t *tenantState, req JobRequest, rjob runner.Job, 
 	}
 	j.span.SetAttr("job", j.id)
 	j.span.SetAttr("tenant", t.cfg.Name)
-	j.span.SetAttr("fingerprint", j.fp)
 	if req.Kernel != "" {
 		j.span.SetAttr("kernel", req.Kernel)
 	}
@@ -605,15 +563,14 @@ func (s *Server) enqueueLocked(t *tenantState, req JobRequest, rjob runner.Job, 
 		j.span.SetAttr("trace_digest", req.TraceDigest)
 	}
 	j.traceID = j.span.TraceID()
-	j.queueSpan = j.span.StartChild("queue.wait")
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.evictLocked()
-	heap.Push(&s.queue, j)
+	s.queued++
+	t.queued++
 	s.submitted.Add(1)
 	t.submitted.Add(1)
-	t.queued++
-	s.avail <- struct{}{}
+	s.be.Start(j)
 	return j
 }
 
@@ -663,7 +620,7 @@ func (s *Server) Status(id string) (JobStatus, error) {
 // tenant. Another tenant's job reads as not-found, never as forbidden:
 // job IDs are sequential, and a 403 would confirm to a prober that the
 // ID exists.
-func (s *Server) lookupFor(t *tenantState, id string) (*job, bool) {
+func (s *Server) lookupFor(t *tenantState, id string) (*Job, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	s.mu.Unlock()
@@ -674,11 +631,12 @@ func (s *Server) lookupFor(t *tenantState, id string) (*job, bool) {
 }
 
 // Stats snapshots the server counters into the versioned statsz
-// schema: nested queue/cache/engine/tenants sections.
+// schema: nested queue/cache/engine/tenants sections. The cache and
+// engine sections, and the worker count, stay zero unless jobs run
+// locally.
 func (s *Server) Stats() ServerStats {
 	s.mu.Lock()
-	depth := len(s.queue)
-	running := s.running
+	queued, running := s.queued, s.running
 	tenants := snapshotTenants(s.tenants, s.anonymous, s.multiTenant)
 	s.mu.Unlock()
 	uptime := time.Since(s.start).Seconds()
@@ -686,23 +644,22 @@ func (s *Server) Stats() ServerStats {
 		SchemaVersion: SchemaVersion,
 		UptimeSec:     uptime,
 		Queue: QueueStats{
-			Workers:   s.eng.Workers(),
 			Capacity:  s.opts.QueueDepth,
-			Depth:     depth,
+			Depth:     queued,
 			Running:   running,
 			Submitted: s.submitted.Load(),
 			Done:      s.done.Load(),
 			Failed:    s.failed.Load(),
 		},
-		Cache: CacheStats{
-			Hits:      s.eng.CacheHits(),
-			PutErrors: s.eng.CachePutErrors(),
-		},
-		Engine: EngineStats{
+		Tenants: tenants,
+	}
+	if s.eng != nil {
+		st.Queue.Workers = s.eng.Workers()
+		st.Cache = CacheStats{Hits: s.eng.CacheHits(), PutErrors: s.eng.CachePutErrors()}
+		st.Engine = EngineStats{
 			SimulationsExecuted: s.eng.Executed(),
 			SimInstructions:     s.eng.SimInstructions(),
-		},
-		Tenants: tenants,
+		}
 	}
 	if u := st.Engine.SimulationsExecuted + st.Cache.Hits; u > 0 {
 		st.Cache.HitRatio = float64(st.Cache.Hits) / float64(u)
@@ -714,140 +671,24 @@ func (s *Server) Stats() ServerStats {
 	return st
 }
 
-// worker drains the queue until Close. One avail token is one queued
-// job, so a received token guarantees the pop succeeds.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-s.avail:
-			// A closed quit and a non-empty queue are both ready:
-			// re-check quit so Close never starts new work (the select
-			// above picks between ready cases at random).
-			select {
-			case <-s.quit:
-				return
-			default:
-			}
-			s.mu.Lock()
-			j := heap.Pop(&s.queue).(*job)
-			s.running++
-			j.tenant.queued--
-			j.tenant.running++
-			s.mu.Unlock()
-			s.execute(j)
-			s.mu.Lock()
-			s.running--
-			j.tenant.running--
-			s.mu.Unlock()
-		}
-	}
-}
-
-// execute runs one job through the engine, fanning progress out to
-// every job that shares the fingerprint while it runs, and attributes
-// the outcome — including how it was resolved — to the job's tenant.
-func (s *Server) execute(j *job) {
-	j.setRunning()
-	s.fanoutAttach(j)
-	r := s.eng.Run([]runner.Job{j.rjob})[0]
-	s.fanoutDetach(j)
-	j.runSpan.SetAttr("via", r.Via.String())
-	j.runSpan.End()
-	t := j.tenant
-	if r.Err != nil {
-		s.failed.Add(1)
-		t.failed.Add(1)
-		s.logger.Warn("job failed",
-			"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "via", r.Via.String(),
-			"trace_id", j.traceID, "error", r.Err.Error())
-	} else {
-		s.done.Add(1)
-		t.done.Add(1)
-		if r.Via == runner.ViaCache {
-			t.cacheHits.Add(1)
-		}
-		s.logger.Info("job done",
-			"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "via", r.Via.String(),
-			"trace_id", j.traceID,
-			"cycles", r.Res.Cycles, "instructions", r.Res.Instructions)
-	}
-	j.finish(r.Res, r.Err)
-	// The duration histograms derive from the same span clock the trace
-	// endpoints expose, so the two observability surfaces cannot drift.
-	s.metrics.observeJob(r.Via.String(),
-		j.queueSpan.EndTime().Sub(j.queueSpan.StartTime()),
-		j.span.EndTime().Sub(j.span.StartTime()))
-}
-
-// fanout broadcasts core progress to the service jobs currently
-// running one fingerprint.
-type fanout struct {
-	mu   sync.Mutex
-	jobs []*job
-}
-
-func (f *fanout) add(j *job) {
-	f.mu.Lock()
-	f.jobs = append(f.jobs, j)
-	f.mu.Unlock()
-}
-
-// parentSpan returns the first attached job's run span — the parent
-// for the simulation's own spans. Reading j.runSpan here is safe: it
-// is assigned before fanoutAttach publishes the job, and both the add
-// and this read synchronize on f.mu.
-func (f *fanout) parentSpan() *obs.ActiveSpan {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, j := range f.jobs {
-		if j.runSpan != nil {
-			return j.runSpan
-		}
-	}
-	return nil
-}
-
-// remove drops j and returns the remaining count.
-func (f *fanout) remove(j *job) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, x := range f.jobs {
-		if x == j {
-			f.jobs = append(f.jobs[:i], f.jobs[i+1:]...)
-			break
-		}
-	}
-	return len(f.jobs)
-}
-
-// publish delivers one progress snapshot to every attached job. Called
-// from the simulation goroutine: it must stay cheap and non-blocking.
-func (f *fanout) publish(p core.Progress) {
-	f.mu.Lock()
-	for _, j := range f.jobs {
-		j.progress(p)
-	}
-	f.mu.Unlock()
-}
-
-// job is the server-side record of one submitted simulation.
-type job struct {
+// Job is the server-side record of one admitted job. Its backend runs
+// it and reports back through Forward and Finish; everything else
+// about the record is the server's.
+type Job struct {
+	srv      *Server
 	id       string
 	seq      int64
 	priority int
 	tenant   *tenantState
 	req      JobRequest
 	rjob     runner.Job
-	fp       string
+	fp       string // the backend's key: the fingerprint, or a fleet's shard key
 
-	// Tracing: span is the job's root (admission→terminal), queueSpan
-	// the queue.wait child, runSpan the job.run child the simulation's
-	// own spans parent under. span/queueSpan/traceID are assigned once
-	// at enqueue; runSpan once in setRunning, strictly before
-	// fanoutAttach publishes the job — readers reach it through the
+	// Tracing: span is the job's root (admission→terminal), assigned
+	// once at admission with traceID. A local job also has queueSpan,
+	// the queue.wait child, and runSpan, the job.run child the
+	// simulation's own spans parent under; runSpan is assigned before
+	// the fanout publishes the job, and readers reach it through the
 	// fanout's mutex, so no lock is needed on the field itself.
 	span      *obs.ActiveSpan
 	queueSpan *obs.ActiveSpan
@@ -859,36 +700,56 @@ type job struct {
 	res       stats.Results
 	hasRes    bool
 	errMsg    string
+	replica   string // the fleet replica that ran the job
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	lastProg  core.Progress
+	prog      Event // the latest progress line
 	subs      map[chan Event]struct{}
 	terminal  chan struct{}
 }
 
+// ID returns the job's ID.
+func (j *Job) ID() string { return j.id }
+
+// Fingerprint returns the key the backend identifies the job's work
+// by.
+func (j *Job) Fingerprint() string { return j.fp }
+
+// TraceID returns the id of the job's trace.
+func (j *Job) TraceID() string { return j.traceID }
+
+// Span returns the job's root span, the parent of whatever spans the
+// backend records for it.
+func (j *Job) Span() *obs.ActiveSpan { return j.span }
+
+// Request returns the job's request, its priority clamped to the
+// tenant's ceiling.
+func (j *Job) Request() JobRequest {
+	req := j.req
+	req.Priority = j.priority
+	return req
+}
+
 // status snapshots the job as its wire representation.
-func (j *job) status() JobStatus {
+func (j *Job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.statusLocked()
 }
 
 // statusLocked is status with j.mu held.
-func (j *job) statusLocked() JobStatus {
-	tenant := ""
-	if j.tenant != nil {
-		tenant = j.tenant.cfg.Name
-	}
+func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:          j.id,
 		State:       j.state,
-		Tenant:      tenant,
+		Tenant:      j.tenant.cfg.Name,
 		Kernel:      j.req.Kernel,
 		Scale:       j.rjob.EffectiveScale(),
 		Seed:        j.req.Seed,
 		TraceDigest: j.req.TraceDigest,
 		Priority:    j.priority,
+		Replica:     j.replica,
 		TraceID:     j.traceID,
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
@@ -905,27 +766,87 @@ func (j *job) statusLocked() JobStatus {
 	return st
 }
 
-func (j *job) setRunning() {
-	j.queueSpan.End()
-	j.runSpan = j.span.StartChild("job.run")
+// advanceLocked passes ev to the job's subscribers, first moving a
+// queued job to running when ev is a running line; the server's lock
+// must be held.
+func (j *Job) advanceLocked(ev Event, replica string) {
 	j.mu.Lock()
-	j.state = StateRunning
-	j.started = time.Now()
-	j.broadcastLocked(Event{State: StateRunning})
+	defer j.mu.Unlock()
+	if j.state == StateQueued && ev.State == StateRunning {
+		j.state = StateRunning
+		j.started = time.Now()
+		j.replica = replica
+		j.srv.queued--
+		j.srv.running++
+		j.tenant.queued--
+		j.tenant.running++
+	}
+	if ev.Cycles > 0 {
+		j.prog = ev
+	}
+	j.broadcastLocked(ev)
+}
+
+// Forward passes on one event of a job running elsewhere: a running
+// line, sent from replica, moves the job to running. Terminal lines
+// are dropped — Finish writes the terminal line exactly once, so a
+// failover cannot leak a premature one — and so is the event's job
+// status: the lines carry this server's.
+func (j *Job) Forward(ev Event, replica string) {
+	if ev.State == StateDone || ev.State == StateFailed {
+		return
+	}
+	ev.Job = nil
+	j.srv.mu.Lock()
+	j.advanceLocked(ev, replica)
+	j.srv.mu.Unlock()
+}
+
+// progress records a local simulation's progress snapshot and
+// broadcasts it to subscribers.
+func (j *Job) progress(p core.Progress) {
+	j.mu.Lock()
+	j.prog = Event{State: StateRunning, Cycles: p.Cycle, Instructions: p.Instructions, IPC: p.IPC()}
+	j.broadcastLocked(j.prog)
 	j.mu.Unlock()
 }
 
-func (j *job) finish(res stats.Results, err error) {
+// Finish records the job's outcome — res, or the failure err — once;
+// later calls are ignored. replica, when set, attributes the outcome.
+func (j *Job) Finish(res stats.Results, err error, replica string) {
+	s, t := j.srv, j.tenant
+	s.mu.Lock()
 	j.mu.Lock()
+	switch j.state {
+	case StateDone, StateFailed:
+		j.mu.Unlock()
+		s.mu.Unlock()
+		return
+	case StateRunning:
+		s.running--
+		t.running--
+	default:
+		s.queued--
+		t.queued--
+	}
+	s.mu.Unlock()
 	j.finished = time.Now()
+	if replica != "" {
+		j.replica = replica
+		j.span.SetAttr("replica", replica)
+	}
 	if err != nil {
 		j.state = StateFailed
 		j.errMsg = err.Error()
 		j.span.SetAttr("error", j.errMsg)
+		s.failed.Add(1)
+		t.failed.Add(1)
 	} else {
 		j.state = StateDone
 		j.res = res
 		j.hasRes = true
+		s.done.Add(1)
+		t.done.Add(1)
 	}
 	j.span.SetAttr("state", j.state)
 	close(j.terminal)
@@ -933,23 +854,10 @@ func (j *job) finish(res stats.Results, err error) {
 	j.span.End()
 }
 
-// progress records a snapshot and broadcasts it to subscribers.
-func (j *job) progress(p core.Progress) {
-	j.mu.Lock()
-	j.lastProg = p
-	j.broadcastLocked(Event{
-		State:        StateRunning,
-		Cycles:       p.Cycle,
-		Instructions: p.Instructions,
-		IPC:          p.IPC(),
-	})
-	j.mu.Unlock()
-}
-
 // broadcastLocked delivers an event to every subscriber without
 // blocking: a slow events reader drops intermediate progress, never
-// stalls the simulation.
-func (j *job) broadcastLocked(ev Event) {
+// stalls the job.
+func (j *Job) broadcastLocked(ev Event) {
 	ev.TraceID = j.traceID
 	for ch := range j.subs {
 		select {
@@ -962,7 +870,7 @@ func (j *job) broadcastLocked(ev Event) {
 // subscribe attaches an event channel and returns it with the current
 // state snapshot; withStatus puts the job's status on the snapshot
 // even when the job is not yet terminal.
-func (j *job) subscribe(withStatus bool) (chan Event, Event) {
+func (j *Job) subscribe(withStatus bool) (chan Event, Event) {
 	ch := make(chan Event, 32)
 	j.mu.Lock()
 	j.subs[ch] = struct{}{}
@@ -975,7 +883,7 @@ func (j *job) subscribe(withStatus bool) (chan Event, Event) {
 	return ch, snap
 }
 
-func (j *job) unsubscribe(ch chan Event) {
+func (j *Job) unsubscribe(ch chan Event) {
 	j.mu.Lock()
 	delete(j.subs, ch)
 	j.mu.Unlock()
@@ -983,17 +891,17 @@ func (j *job) unsubscribe(ch chan Event) {
 
 // snapshotEventLocked renders the job's current state as one event; a
 // terminal one carries the final status.
-func (j *job) snapshotEventLocked() Event {
+func (j *Job) snapshotEventLocked() Event {
 	ev := Event{State: j.state, Error: j.errMsg, TraceID: j.traceID}
 	switch {
 	case j.hasRes:
 		ev.Cycles = j.res.Cycles
 		ev.Instructions = j.res.Instructions
 		ev.IPC = j.res.IPC()
-	case j.lastProg.Cycle > 0:
-		ev.Cycles = j.lastProg.Cycle
-		ev.Instructions = j.lastProg.Instructions
-		ev.IPC = j.lastProg.IPC()
+	case j.prog.Cycles > 0:
+		ev.Cycles = j.prog.Cycles
+		ev.Instructions = j.prog.Instructions
+		ev.IPC = j.prog.IPC
 	}
 	if j.state == StateDone || j.state == StateFailed {
 		st := j.statusLocked()
@@ -1003,32 +911,10 @@ func (j *job) snapshotEventLocked() Event {
 }
 
 // terminalEvent is the final NDJSON line of an events stream.
-func (j *job) terminalEvent() Event {
+func (j *Job) terminalEvent() Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.snapshotEventLocked()
-}
-
-// jobHeap orders the queue by (priority desc, submission seq asc):
-// deterministic pop order regardless of worker count.
-type jobHeap []*job
-
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(a, b int) bool {
-	if h[a].priority != h[b].priority {
-		return h[a].priority > h[b].priority
-	}
-	return h[a].seq < h[b].seq
-}
-func (h jobHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*job)) }
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
 }
 
 var _ http.Handler = (*Server)(nil)

@@ -409,7 +409,9 @@ func TestRestartServesFromDiskCache(t *testing.T) {
 // directly: progress snapshots and the terminal transition reach a
 // subscriber in order.
 func TestEventsStreamProgress(t *testing.T) {
-	j := &job{
+	j := &Job{
+		srv:      &Server{},
+		tenant:   &tenantState{},
 		id:       "j-test",
 		state:    StateQueued,
 		subs:     make(map[chan Event]struct{}),
@@ -420,9 +422,9 @@ func TestEventsStreamProgress(t *testing.T) {
 	if snap.State != StateQueued {
 		t.Fatalf("snapshot state %q, want queued", snap.State)
 	}
-	j.setRunning()
+	j.advanceLocked(Event{State: StateRunning}, "")
 	j.progress(core.Progress{Cycle: 1000, Instructions: 1500})
-	j.finish(stats.Results{Cycles: 2000, Instructions: 3000}, nil)
+	j.Finish(stats.Results{Cycles: 2000, Instructions: 3000}, nil, "")
 
 	var got []Event
 	for len(ch) > 0 {
