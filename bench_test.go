@@ -249,15 +249,13 @@ func BenchmarkCalibration(b *testing.B) {
 	}
 }
 
-// BenchmarkGridThroughput measures the cold-job grid path end to end:
-// a 12-job trace-replay grid (3 kernels x 4 machines) through a fresh
-// Engine every iteration, so result memoization never fires and every
-// job pays simulator construction (via the Sim pool) and trace decode
-// (via the shared arena). The allocs/job metric is the CI-gated figure
-// for the cold-path rework: it counts every allocation in the timed
-// region — workers, scheduling and simulation — divided by jobs run.
-func BenchmarkGridThroughput(b *testing.B) {
-	dir := b.TempDir()
+// tracedGrid materializes the 12-job trace-replay grid (3 kernels x 4
+// machines) and runs it once, so the shared trace arena and Sim pool
+// are warm and a later run measures the steady-state cold-job path
+// rather than first-touch decoding.
+func tracedGrid(tb testing.TB) []clustervp.Job {
+	tb.Helper()
+	dir := tb.TempDir()
 	cfgs := []clustervp.Config{
 		clustervp.Preset(1),
 		clustervp.Preset(2),
@@ -272,15 +270,23 @@ func BenchmarkGridThroughput(b *testing.B) {
 	}
 	traced, err := clustervp.MaterializeTraces(dir, jobs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Warm pass: populates the shared trace arena and Sim pool so the
-	// timed region measures the steady-state cold-job path rather than
-	// first-touch decoding.
 	if err := clustervp.FirstErr(clustervp.NewEngine(0).Run(traced)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return traced
+}
 
+// BenchmarkGridThroughput measures the cold-job grid path end to end:
+// the traced grid through a fresh Engine every iteration, so result
+// memoization never fires and every job pays simulator construction
+// (via the Sim pool) and trace decode (via the shared arena). The
+// allocs/job metric counts every allocation in the timed region —
+// workers, scheduling and simulation — divided by jobs run;
+// TestColdGridAllocsPerJob bounds it.
+func BenchmarkGridThroughput(b *testing.B) {
+	traced := tracedGrid(b)
 	var insts uint64
 	var m0, m1 runtime.MemStats
 	runtime.GC()

@@ -71,6 +71,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -167,7 +168,8 @@ func checkMode(set map[string]bool, coordinator bool) error {
 
 // parseReplicas splits and sanity-checks the -replicas list. Order is
 // preserved: the list IS the shard space, so every coordinator must be
-// given the same order.
+// given the same order. A URL listed twice would own two shard slots,
+// so a duplicate (after trimming trailing slashes) is rejected.
 func parseReplicas(s string) ([]string, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, errors.New("-coordinator requires -replicas (comma-separated base URLs)")
@@ -182,7 +184,11 @@ func parseReplicas(s string) ([]string, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("-replicas: %q is not a base URL (want e.g. http://host:port)", part)
 		}
-		out = append(out, strings.TrimRight(part, "/"))
+		part = strings.TrimRight(part, "/")
+		if slices.Contains(out, part) {
+			return nil, fmt.Errorf("-replicas: %s is listed twice", part)
+		}
+		out = append(out, part)
 	}
 	if len(out) == 0 {
 		return nil, errors.New("-replicas: no usable URLs")

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -14,6 +17,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"clustervp/internal/config"
+	"clustervp/internal/runner"
+	"clustervp/internal/service"
+	"clustervp/internal/service/client"
+	"clustervp/internal/service/fleet"
 )
 
 // asClusterd as the first argument makes the test binary run main with
@@ -66,6 +75,20 @@ func startClusterd(t *testing.T, args ...string) *clusterd {
 		c.exited <- c.cmd.Wait()
 	}()
 	return c
+}
+
+// url waits for the process to start serving and returns its base URL.
+func (c *clusterd) url(t *testing.T) string {
+	t.Helper()
+	select {
+	case base := <-c.base:
+		return base
+	case err := <-c.exited:
+		t.Fatalf("clusterd exited: %v: %s", err, c.stderr.String())
+	case <-time.After(30 * time.Second):
+		t.Fatal("clusterd did not start serving")
+	}
+	return ""
 }
 
 // exitCode waits for the process to exit and returns its status; a
@@ -131,15 +154,7 @@ func TestCoordinatorTenants(t *testing.T) {
 	if err := os.WriteFile(tenants, []byte(`{"tenants":[{"name":"alice","key":"alice-key-0001"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c := startClusterd(t, "-coordinator", "-replicas", replica.URL, "-tenants", tenants, "-addr", "127.0.0.1:0")
-	var base string
-	select {
-	case base = <-c.base:
-	case err := <-c.exited:
-		t.Fatalf("coordinator exited: %v: %s", err, c.stderr.String())
-	case <-time.After(30 * time.Second):
-		t.Fatal("coordinator did not start")
-	}
+	base := startClusterd(t, "-coordinator", "-replicas", replica.URL, "-tenants", tenants, "-addr", "127.0.0.1:0").url(t)
 	for _, tc := range []struct {
 		path, key string
 		want      int
@@ -167,7 +182,7 @@ func TestCoordinatorTenants(t *testing.T) {
 
 // TestParseReplicas pins the -replicas contract: comma-separated base
 // URLs, order preserved (the list is the shard space), trailing
-// slashes trimmed, junk rejected with a usage error.
+// slashes trimmed, junk and duplicates rejected with a usage error.
 func TestParseReplicas(t *testing.T) {
 	got, err := parseReplicas(" http://10.0.0.1:8090 , http://10.0.0.2:8090/ ,")
 	if err != nil {
@@ -177,7 +192,7 @@ func TestParseReplicas(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("parseReplicas = %v, want %v", got, want)
 	}
-	for _, bad := range []string{"", "  ", ",,", "not a url", "host-without-scheme:8090"} {
+	for _, bad := range []string{"", "  ", ",,", "not a url", "host-without-scheme:8090", "http://a:1,http://a:1/"} {
 		if out, err := parseReplicas(bad); err == nil {
 			t.Errorf("parseReplicas(%q) accepted: %v", bad, out)
 		}
@@ -225,5 +240,118 @@ func TestBuildLogger(t *testing.T) {
 	}
 	if _, err := buildLogger("text", "loud"); err == nil {
 		t.Error("bad -log-level accepted")
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after a minute.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); !cond(); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// fleetStats reads a coordinator's GET /v1/statsz.
+func fleetStats(t *testing.T, base string) fleet.Stats {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st fleet.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestFleetSurvivesKill9 runs the fleet as real processes: two replicas
+// on one shared -data and a coordinator. A replica is SIGKILLed while it
+// simulates part of an 8-job grid; every job must still finish, the
+// dead replica must be probed down, and a run through the degraded
+// fleet must be byte-identical to a local simulation — results do not
+// depend on how the work was split. Restarted on the same -data, the
+// killed replica resolves the whole grid from the shared result cache
+// without simulating.
+func TestFleetSurvivesKill9(t *testing.T) {
+	ctx := context.Background()
+	data := t.TempDir()
+	replicas := []*clusterd{
+		startClusterd(t, "-addr", "127.0.0.1:0", "-data", data),
+		startClusterd(t, "-addr", "127.0.0.1:0", "-data", data),
+	}
+	bases := []string{replicas[0].url(t), replicas[1].url(t)}
+	base := startClusterd(t, "-coordinator", "-replicas", strings.Join(bases, ","),
+		"-probe-interval", "100ms", "-addr", "127.0.0.1:0").url(t)
+
+	grid := service.GridRequest{
+		Machines: []config.MachineSpec{{Clusters: "2"}, {Clusters: "4", VP: "stride", Steering: "vpb"}},
+		Kernels:  []string{"rawcaudio", "gsmdec"},
+		Scales:   []int{1, 2},
+	}
+	if ids, err := client.New(base).SubmitGrid(ctx, grid); err != nil || len(ids) != 8 {
+		t.Fatalf("grid submit = %v, %v; want 8 jobs", ids, err)
+	}
+	// The victim is whichever replica starts simulating first, killed
+	// with that simulation in flight.
+	victim := -1
+	waitFor(t, "a replica to start simulating", func() bool {
+		for i, b := range bases {
+			if st, err := client.New(b).Stats(ctx); err == nil && st.Queue.Running > 0 {
+				victim = i
+				return true
+			}
+		}
+		return false
+	})
+	if err := replicas[victim].cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the grid to finish", func() bool {
+		st := fleetStats(t, base)
+		if st.Coordinator.Failed != 0 {
+			t.Fatalf("fleet jobs failed after the kill: %+v", st.Coordinator)
+		}
+		return st.Coordinator.Done == 8
+	})
+	waitFor(t, "the killed replica to be probed down", func() bool {
+		return fleetStats(t, base).Replicas[victim].State == "down"
+	})
+
+	req := service.JobRequest{Machine: grid.Machines[1], Kernel: "gsmdec"}
+	got, err := client.New(base).Run(ctx, req)
+	if err != nil || got.State != service.StateDone {
+		t.Fatalf("run through the degraded fleet = %+v, %v", got, err)
+	}
+	cfg, err := req.Machine.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runner.Simulate(runner.Job{Config: cfg, Kernel: req.Kernel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, _ := json.Marshal(got.Results)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("fleet results differ from local:\n fleet: %s\n local: %s", gotJSON, wantJSON)
+	}
+
+	restarted := client.New(startClusterd(t, "-addr", "127.0.0.1:0", "-data", data).url(t))
+	ids, err := restarted.SubmitGrid(ctx, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if st, err := restarted.Wait(ctx, id); err != nil || st.State != service.StateDone {
+			t.Fatalf("restarted replica: job %s = %+v, %v", id, st, err)
+		}
+	}
+	if st, err := restarted.Stats(ctx); err != nil || st.Engine.SimulationsExecuted != 0 {
+		t.Errorf("restarted replica simulated %d jobs (%v), want 0: the shared cache must serve the grid",
+			st.Engine.SimulationsExecuted, err)
 	}
 }

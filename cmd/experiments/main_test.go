@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -207,32 +208,39 @@ func TestOutExportsGrid(t *testing.T) {
 	}
 }
 
-// TestOutJSONRealSimulation runs the cheapest real experiment end to
-// end and parses the exported grid (the acceptance-criteria path).
+// TestOutJSONRealSimulation runs the cheapest real experiment and the
+// asymmetry sweep end to end and parses the exported grids (the
+// acceptance-criteria path). The sweep exercises the heterogeneous
+// ClusterSpec path: spec parsing, weighted steering and per-cluster
+// stats.
 func TestOutJSONRealSimulation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real simulation in -short mode")
-	}
-	e := &env{eng: clustervp.NewEngine(0), scale: 1, out: io.Discard}
-	path := filepath.Join(t.TempDir(), "rename2.json")
-	code, err := runExperiments(e, "rename2", path)
-	if err != nil || code != 0 {
-		t.Fatalf("code=%d err=%v", code, err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []runner.Record
-	if err := json.Unmarshal(data, &recs); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if want := 2 * len(clustervp.Kernels()); len(recs) != want {
-		t.Fatalf("exported %d records, want %d", len(recs), want)
-	}
-	for _, r := range recs {
-		if r.IPC <= 0 || r.Cycles <= 0 || r.Err != "" {
-			t.Errorf("suspicious record: %+v", r)
+	run := func(exp string) []runner.Record {
+		t.Helper()
+		e := &env{eng: clustervp.NewEngine(0), scale: 1, out: io.Discard}
+		path := filepath.Join(t.TempDir(), exp+".json")
+		code, err := runExperiments(e, exp, path)
+		if err != nil || code != 0 {
+			t.Fatalf("-exp %s: code=%d err=%v", exp, code, err)
 		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []runner.Record
+		if err := json.Unmarshal(data, &recs); err != nil {
+			t.Fatalf("-exp %s: invalid JSON: %v", exp, err)
+		}
+		for _, r := range recs {
+			if r.Kernel == "" || r.IPC <= 0 || r.Cycles <= 0 || r.Err != "" {
+				t.Errorf("-exp %s: suspicious record: %+v", exp, r)
+			}
+		}
+		return recs
+	}
+	if recs, want := run("rename2"), 2*len(clustervp.Kernels()); len(recs) != want {
+		t.Errorf("-exp rename2 exported %d records, want %d", len(recs), want)
+	}
+	if !slices.ContainsFunc(run("asym"), func(r runner.Record) bool { return r.Clusters == 3 && len(r.PerCluster) > 0 }) {
+		t.Error("-exp asym exported no 3-cluster record with per-cluster stats")
 	}
 }

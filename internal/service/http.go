@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"clustervp/internal/obs"
+	"clustervp/internal/trace"
 )
 
 // buildHandler assembles the route table and middleware chain once, at
@@ -453,8 +454,15 @@ func (s *Server) handleUploadTrace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// A trace that fails decoding is a client-side problem: bad
-		// magic, version, CRC or truncation all map to 400.
-		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+		// magic, version, CRC or truncation all map to 400. Anything
+		// else is the store failing, a 500 that names no server path.
+		if errors.Is(err, trace.ErrBadMagic) || errors.Is(err, trace.ErrVersion) ||
+			errors.Is(err, trace.ErrCorrupt) || errors.Is(err, trace.ErrTruncated) {
+			writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+			return
+		}
+		s.logger.Error("trace upload failed", "err", err)
+		writeError(w, errors.New("service: trace store failed"))
 		return
 	}
 	infoFrom(r.Context()).fp = digest

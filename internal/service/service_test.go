@@ -544,15 +544,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceUploadAndReplayJob uploads a .cvt over HTTP and runs a job
-// against its digest; the result must match replaying the file
-// locally.
-func TestTraceUploadAndReplayJob(t *testing.T) {
-	s := newTestServer(t, func(o *Options) { o.TraceDir = t.TempDir() })
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	// Build a small trace file.
+// writeTestTrace writes a small valid .cvt file and returns its path
+// and bytes.
+func writeTestTrace(t *testing.T) (string, []byte) {
+	t.Helper()
 	prog, err := workload.Build("rawcaudio", 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -565,7 +560,37 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return path, data
+}
 
+// TestTraceUploadStoreFailure: a valid upload the trace store cannot
+// write is the server's fault, a 500 internal envelope naming no server
+// path, never a 400 that blames the client.
+func TestTraceUploadStoreFailure(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, func(o *Options) { o.TraceDir = dir })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, data := writeTestTrace(t)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := doReq(t, http.MethodPost, ts.URL+"/v1/traces", "", string(data))
+	env := wantEnvelope(t, resp, body, http.StatusInternalServerError, CodeInternal)
+	if strings.Contains(env.Error.Message, dir) {
+		t.Errorf("500 message leaks the store path: %q", env.Error.Message)
+	}
+}
+
+// TestTraceUploadAndReplayJob uploads a .cvt over HTTP and runs a job
+// against its digest; the result must match replaying the file
+// locally.
+func TestTraceUploadAndReplayJob(t *testing.T) {
+	s := newTestServer(t, func(o *Options) { o.TraceDir = t.TempDir() })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	path, data := writeTestTrace(t)
 	resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
