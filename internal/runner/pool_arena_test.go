@@ -2,6 +2,7 @@ package runner
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"clustervp/internal/core"
 	"clustervp/internal/stats"
 	"clustervp/internal/trace"
+	"clustervp/internal/trace/tracetest"
 	"clustervp/internal/workload"
 )
 
@@ -144,6 +146,42 @@ func TestArenaFallbackToStreaming(t *testing.T) {
 	}
 	checkAgainstCold(t, "tiny arena", Options{Workers: 8, Run: withArena(trace.NewArena(1))},
 		jobs, []stats.Results{coldSimulate(t, jobs[0])})
+}
+
+// TestOffModelTracesStream: a valid trace that breaks a fact the
+// in-memory form rebuilds instead of storing (a source value off the
+// register file, a PC off the previous next PC) must reach the
+// simulator through the stream path of openTraceSource, with room to
+// spare in the arena, and still match the cold reference.
+func TestOffModelTracesStream(t *testing.T) {
+	dir := t.TempDir()
+	for name, build := range map[string]func() ([]byte, error){
+		"source-value": tracetest.SourceOffModel,
+		"next-pc":      tracetest.PCOffModel,
+	} {
+		data, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name+".cvt")
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		arena := trace.NewArena(DefaultArenaBudget)
+		_, _, mode, closeFn, err := openTraceSource(path, arena)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if closeFn != nil {
+			closeFn()
+		}
+		if mode != SourceStream {
+			t.Errorf("%s: source = %s, want %s", name, mode, SourceStream)
+		}
+		job := Job{Config: config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), Trace: path}
+		checkAgainstCold(t, name, Options{Workers: 1, Run: withArena(arena)},
+			[]Job{job}, []stats.Results{coldSimulate(t, job)})
+	}
 }
 
 // TestMaterializeTracesVerifyPoolDigest: a corrupt or truncated

@@ -388,13 +388,13 @@ var defaultArena = trace.NewArena(DefaultArenaBudget)
 // openTraceSource resolves the replay Source for a .cvt file. In order
 // of preference: a Cursor over the arena-resident decoded form (decoded
 // once per distinct content digest, shared read-only by every job), a
-// fresh decode admitted to the arena, or — when the arena is full or
-// the trace does not fit — a pipelined streaming Reader that overlaps
-// decode with simulation. All three yield byte-identical record
-// streams. It returns the source, the trace's header name, the
-// materialization mode ("arena", "decode" or "stream" — span
-// attribute material for the tracing layer), and a close func (nil
-// when nothing needs closing).
+// fresh decode admitted to the arena, or — when the arena is full, or
+// the trace does not fit or has no in-memory form — a pipelined
+// streaming Reader that overlaps decode with simulation. All three
+// yield byte-identical record streams. It returns the source, the
+// trace's header name, the materialization mode ("arena", "decode" or
+// "stream" — span attribute material for the tracing layer), and a
+// close func (nil when nothing needs closing).
 func openTraceSource(path string, arena *trace.Arena) (trace.Source, string, string, func() error, error) {
 	key := traceDigest(path)
 	if mt := arena.Get(key); mt != nil {
@@ -417,7 +417,7 @@ func openTraceSource(path string, arena *trace.Arena) (trace.Source, string, str
 		if derr != nil && !errors.Is(derr, trace.ErrNoMemForm) {
 			return nil, "", "", nil, derr
 		}
-		// Over budget: stream instead.
+		// Over budget or no in-memory form: stream instead.
 	}
 	fr, err := trace.OpenFile(path)
 	if err != nil {

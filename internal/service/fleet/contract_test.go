@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -157,6 +158,12 @@ func contractDeployments(t *testing.T, hold <-chan struct{}) []deployment {
 // waitDone polls a job over HTTP until it is terminal.
 func waitDone(t *testing.T, base, id string) {
 	t.Helper()
+	waitState(t, base, id, service.StateDone, service.StateFailed)
+}
+
+// waitState polls a job over HTTP until it is in one of states.
+func waitState(t *testing.T, base, id string, states ...string) {
+	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		_, body := doReq(t, http.MethodGet, base+"/v1/jobs/"+id, "")
@@ -164,12 +171,12 @@ func waitDone(t *testing.T, base, id string) {
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatalf("GET job %s: %v (%s)", id, err, body)
 		}
-		if st.State == service.StateDone || st.State == service.StateFailed {
+		if slices.Contains(states, st.State) {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("job %s did not finish", id)
+	t.Fatalf("job %s did not reach %v", id, states)
 }
 
 // TestHTTPContract runs one request script against every deployment,
@@ -309,7 +316,9 @@ func record(t *testing.T, refs map[string]string, step, base string, body []byte
 }
 
 // fill submits held jobs until the deployment answers 503: its whole
-// capacity is then held.
+// capacity is then held. It waits for the first held job to run: a
+// single box admits by queued jobs alone, so a job its idle worker has
+// yet to take would free a queue slot after the 503.
 func fill(t *testing.T, base string) {
 	t.Helper()
 	for scale := 1; scale <= 8; scale++ {
@@ -317,6 +326,13 @@ func fill(t *testing.T, base string) {
 		resp, data := doReq(t, http.MethodPost, base+"/v1/jobs", body)
 		switch resp.StatusCode {
 		case http.StatusAccepted:
+			if scale == 1 {
+				var st service.JobStatus
+				if err := json.Unmarshal(data, &st); err != nil {
+					t.Fatal(err)
+				}
+				waitState(t, base, st.ID, service.StateRunning)
+			}
 			continue
 		case http.StatusServiceUnavailable:
 			return

@@ -245,7 +245,7 @@ func (d *dispatcher) dispatch(j *service.Job, shard int) {
 			// paces the fleet's recovery instead of hammering it.
 			select {
 			case <-d.ctx.Done():
-				j.Finish(stats.Results{}, errShutdown, "")
+				j.Finish(stats.Results{}, errShutdown, "", time.Time{})
 				return
 			case <-time.After(d.opts.ProbeInterval):
 			}
@@ -256,7 +256,7 @@ func (d *dispatcher) dispatch(j *service.Job, shard int) {
 			// health loop to resurrect something, then rescan.
 			select {
 			case <-d.ctx.Done():
-				j.Finish(stats.Results{}, errShutdown, "")
+				j.Finish(stats.Results{}, errShutdown, "", time.Time{})
 				return
 			case <-time.After(d.opts.ProbeInterval):
 				continue
@@ -282,7 +282,7 @@ func (d *dispatcher) dispatch(j *service.Job, shard int) {
 		}
 		r.dispatchFailed()
 		if d.ctx.Err() != nil {
-			j.Finish(stats.Results{}, errShutdown, "")
+			j.Finish(stats.Results{}, errShutdown, "", time.Time{})
 			return
 		}
 	}
@@ -322,19 +322,21 @@ func (d *dispatcher) runOn(r *replica, j *service.Job, sp *obs.ActiveSpan) (deli
 			return false
 		}
 	}
+	// A replica whose job finished before the stream's first snapshot
+	// sends no running line; its terminal status still dates the start.
 	switch st.State {
 	case service.StateDone:
 		var res stats.Results
 		if st.Results != nil {
 			res = *st.Results
 		}
-		j.Finish(res, nil, r.name)
+		j.Finish(res, nil, r.name, st.StartedAt)
 		d.logger.Info("fleet job done", "job", j.ID(), "replica", r.name, "trace_id", j.TraceID())
 		return true
 	case service.StateFailed:
 		// The simulator is deterministic: a failed simulation fails
 		// everywhere. Retrying elsewhere would only duplicate the loss.
-		j.Finish(stats.Results{}, errors.New(st.Error), r.name)
+		j.Finish(stats.Results{}, errors.New(st.Error), r.name, st.StartedAt)
 		d.logger.Info("fleet job failed", "job", j.ID(), "replica", r.name, "error", st.Error, "trace_id", j.TraceID())
 		return true
 	default:

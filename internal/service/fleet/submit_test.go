@@ -310,3 +310,44 @@ func TestDispatchPollsAfterCutStream(t *testing.T) {
 		t.Errorf("posts=%d polls=%d resubmits=%d, want 1, 1, 0", p, q, r)
 	}
 }
+
+// TestTerminalOnlyStreamKeepsStartedAt: a replica whose job finished
+// before its stream's first snapshot answers with the terminal line
+// alone, no running line. The coordinator's status must still carry
+// the start time the replica's status carries, as a single box's does.
+func TestTerminalOnlyStreamKeepsStartedAt(t *testing.T) {
+	started := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"ok":true}`))
+	})
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", service.NDJSONType)
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(service.Event{
+			State: service.StateDone,
+			Job: &service.JobStatus{ID: "j-00000001", State: service.StateDone,
+				StartedAt: started, FinishedAt: started.Add(time.Millisecond),
+				Results: &stats.Results{Benchmark: "rawcaudio", Cycles: 7}},
+		})
+	})
+	replica := httptest.NewServer(mux)
+	defer replica.Close()
+	co, err := New(Options{Replicas: []string{replica.URL}, ProbeInterval: 25 * time.Millisecond, Retry: clientRetryFast()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	st, err := co.Submit(service.JobRequest{Machine: config.MachineSpec{Clusters: "2"}, Kernel: "rawcaudio"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitJob(t, co, st.ID)
+	if fin.State != service.StateDone || fin.Results == nil || fin.Results.Cycles != 7 {
+		t.Fatalf("job after a terminal-only stream = %+v, want the streamed done status", fin)
+	}
+	if !fin.StartedAt.Equal(started) {
+		t.Errorf("started_at = %v, want the replica's %v", fin.StartedAt, started)
+	}
+}

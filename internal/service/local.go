@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"clustervp/internal/config"
 	"clustervp/internal/core"
@@ -185,7 +186,7 @@ func (l *local) execute(j *Job) {
 			"trace_id", j.traceID,
 			"cycles", r.Res.Cycles, "instructions", r.Res.Instructions)
 	}
-	j.Finish(r.Res, r.Err, "")
+	j.Finish(r.Res, r.Err, "", time.Time{})
 	// The duration histograms derive from the same span clock the trace
 	// endpoints expose, so the two observability surfaces cannot drift.
 	s.metrics.observeJob(r.Via.String(),

@@ -813,7 +813,9 @@ func (j *Job) progress(p core.Progress) {
 
 // Finish records the job's outcome — res, or the failure err — once;
 // later calls are ignored. replica, when set, attributes the outcome.
-func (j *Job) Finish(res stats.Results, err error, replica string) {
+// started, when set, is when the job started where it ran: it dates a
+// job that finished without ever reporting running here.
+func (j *Job) Finish(res stats.Results, err error, replica string, started time.Time) {
 	s, t := j.srv, j.tenant
 	s.mu.Lock()
 	j.mu.Lock()
@@ -831,6 +833,9 @@ func (j *Job) Finish(res stats.Results, err error, replica string) {
 	}
 	s.mu.Unlock()
 	j.finished = time.Now()
+	if j.started.IsZero() {
+		j.started = started
+	}
 	if replica != "" {
 		j.replica = replica
 		j.span.SetAttr("replica", replica)

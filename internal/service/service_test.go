@@ -424,7 +424,7 @@ func TestEventsStreamProgress(t *testing.T) {
 	}
 	j.advanceLocked(Event{State: StateRunning}, "")
 	j.progress(core.Progress{Cycle: 1000, Instructions: 1500})
-	j.Finish(stats.Results{Cycles: 2000, Instructions: 3000}, nil, "")
+	j.Finish(stats.Results{Cycles: 2000, Instructions: 3000}, nil, "", time.Time{})
 
 	var got []Event
 	for len(ch) > 0 {

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 
 	"clustervp/internal/isa"
 )
@@ -262,6 +263,7 @@ func (w *Writer) Close() error {
 // in memory, so traces never need to fit in RAM.
 type Reader struct {
 	r    *bufio.Reader
+	src  io.Reader // the undecorated input, for trailerRecords
 	name string
 	code []isa.Inst
 
@@ -278,7 +280,7 @@ type Reader struct {
 // NewReader parses the .cvt header from r and returns a Reader
 // positioned at the first record.
 func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{r: bufio.NewReaderSize(r, 1<<16)}
+	tr := &Reader{r: bufio.NewReaderSize(r, 1<<16), src: r}
 	var magic [5]byte
 	if _, err := io.ReadFull(tr.r, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing header: %v", ErrBadMagic, err)
@@ -419,6 +421,70 @@ func (r *Reader) nextBlock() bool {
 	r.left = int(count)
 	r.off = 0
 	return true
+}
+
+// minRecordBytes is the smallest encoded record: the flags byte and
+// one varint byte each for the pc and next-pc deltas.
+const minRecordBytes = 3
+
+// trailerRecords returns the record count the end block claims, read
+// from the tail of a random-access input without moving the stream
+// position. ok is false when the input is not random access, when its
+// tail is not a well-formed end block, or when the count is more than
+// the input's size could encode. The count is a claim only: Next still
+// checks the end block it streams against the records it decoded.
+func (r *Reader) trailerRecords() (n uint64, ok bool) {
+	ra, size := randomAccess(r.src)
+	if ra == nil {
+		return 0, false
+	}
+	var buf [1 + binary.MaxVarintLen64 + 4]byte
+	tail := buf[:min(size, int64(len(buf)))]
+	if got, _ := ra.ReadAt(tail, size-int64(len(tail))); got != len(tail) || len(tail) < 6 {
+		return 0, false
+	}
+	body, crc := tail[:len(tail)-4], tail[len(tail)-4:]
+	// The count's varint ends body: walk back over its continuation
+	// bytes to the 0 that opens the end block.
+	i := len(body) - 1
+	if body[i]&0x80 != 0 {
+		return 0, false
+	}
+	for i > 0 && body[i-1]&0x80 != 0 {
+		i--
+	}
+	if i == 0 || body[i-1] != 0 {
+		return 0, false
+	}
+	n, m := binary.Uvarint(body[i:])
+	if m != len(body)-i || n > uint64(size)/minRecordBytes {
+		return 0, false
+	}
+	var enc [binary.MaxVarintLen64]byte
+	if crc32.ChecksumIEEE(enc[:binary.PutUvarint(enc[:], n)]) != binary.LittleEndian.Uint32(crc) {
+		return 0, false
+	}
+	return n, true
+}
+
+// randomAccess returns src as an io.ReaderAt with its size, or nil
+// when src is not random access: a regular *os.File, or any reader
+// with ReadAt and Size such as a *bytes.Reader.
+func randomAccess(src io.Reader) (io.ReaderAt, int64) {
+	switch s := src.(type) {
+	case *os.File:
+		fi, err := s.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return nil, 0
+		}
+		return s, fi.Size()
+	case interface {
+		io.ReaderAt
+		Size() int64
+	}:
+		return s, s.Size()
+	}
+	return nil, 0
 }
 
 // Next implements Source: it decodes one record into d.

@@ -4,22 +4,31 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"clustervp/internal/trace"
+	"clustervp/internal/trace/tracetest"
 	"clustervp/internal/workload"
 )
 
 // FuzzTraceReader throws arbitrary bytes at the .cvt decoder and
 // requires it to either decode records or fail with one of the typed
 // errors — never panic, never loop forever, never allocate in
-// proportion to an attacker-controlled length field. Run it with
+// proportion to an attacker-controlled length field. It is also a
+// differential test of the in-memory form: whenever the Reader decodes
+// an input without error, ReadMem on the same bytes either answers
+// ErrNoMemForm or yields a MemTrace whose cursor replays exactly the
+// Reader's records. Run it with
 //
 //	go test -fuzz=FuzzTraceReader ./internal/trace
 //
 // The seed corpus in testdata/fuzz/FuzzTraceReader covers the
 // structured cases mutation starts from: a pristine small trace, a
-// header-only file, truncations, and bit flips in each region.
+// header-only file, truncations, and bit flips in each region. The
+// seeds added below add two valid traces the in-memory form must
+// refuse: a source value off the register file and a PC off the
+// previous record's next PC.
 func FuzzTraceReader(f *testing.F) {
 	k, err := workload.ByName("rawcaudio")
 	if err != nil {
@@ -56,6 +65,13 @@ func FuzzTraceReader(f *testing.F) {
 	// A huge declared header length with no data behind it: the decoder
 	// must reject it by limit, not allocate it.
 	f.Add([]byte{'C', 'V', 'T', 'R', 1, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	for _, off := range []func() ([]byte, error){tracetest.SourceOffModel, tracetest.PCOffModel} {
+		data, err := off()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := trace.NewReader(bytes.NewReader(data))
@@ -63,23 +79,54 @@ func FuzzTraceReader(f *testing.F) {
 			requireTyped(t, err)
 			return
 		}
+		var recs []trace.DynInst
 		var d trace.DynInst
-		n := 0
 		for r.Next(&d) {
 			// Every decoded record must be internally consistent enough
 			// for the timing core to consume blindly.
 			if d.PC < 0 || d.PC >= len(r.Code()) {
-				t.Fatalf("record %d: pc %d outside decoded code", n, d.PC)
+				t.Fatalf("record %d: pc %d outside decoded code", len(recs), d.PC)
 			}
-			if d.Seq != uint64(n) {
-				t.Fatalf("record %d: seq %d", n, d.Seq)
+			if d.Seq != uint64(len(recs)) {
+				t.Fatalf("record %d: seq %d", len(recs), d.Seq)
 			}
-			n++
+			recs = append(recs, d)
 		}
 		if err := r.Err(); err != nil {
 			requireTyped(t, err)
+			return
+		}
+		mt, err := trace.ReadMem(newReader(t, data))
+		if errors.Is(err, trace.ErrNoMemForm) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("Reader decodes the input, ReadMem fails: %v", err)
+		}
+		c := mt.NewCursor()
+		for i := range recs {
+			if !c.Next(&d) {
+				t.Fatalf("cursor ends after %d records, Reader yields %d", i, len(recs))
+			}
+			if !sameRecord(d, recs[i]) {
+				t.Fatalf("record %d: cursor yields %+v, Reader %+v", i, d, recs[i])
+			}
+		}
+		if c.Next(&d) {
+			t.Fatalf("cursor yields more than the Reader's %d records", len(recs))
 		}
 	})
+}
+
+// sameRecord reports whether two records are bit-for-bit equal. A
+// fuzzed header can hold a NaN immediate, which == would call unequal
+// to itself, so FImm compares by its bits.
+func sameRecord(a, b trace.DynInst) bool {
+	if math.Float64bits(a.Inst.FImm) != math.Float64bits(b.Inst.FImm) {
+		return false
+	}
+	a.Inst.FImm, b.Inst.FImm = 0, 0
+	return a == b
 }
 
 // requireTyped fails the fuzz run when a decode error is not one of the

@@ -2,12 +2,18 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"clustervp/internal/trace"
+	"clustervp/internal/trace/tracetest"
+	"clustervp/internal/workload"
 )
 
 func newReader(t *testing.T, data []byte) *trace.Reader {
@@ -90,6 +96,116 @@ func TestMemTraceBudgetFallback(t *testing.T) {
 	}
 	if mt.SizeBytes() <= 0 {
 		t.Error("SizeBytes must be positive for a non-empty trace")
+	}
+}
+
+// TestMemTraceLayoutExact pins the compact layout's size on every
+// kernel at scale 2: each column's capacity equals its length,
+// SizeBytes is exactly what the columns hold plus the fixed name and
+// code charge, and the suite averages at most 13 bytes a record (4 for
+// the PC, 1/8 for the taken bit, 8 for each destination or address
+// value, about one a record).
+func TestMemTraceLayoutExact(t *testing.T) {
+	var records, bytes int64
+	for _, k := range workload.Names() {
+		data, want := encodeKernel(t, k, 2)
+		mt, err := trace.ReadMem(newReader(t, data))
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		held := trace.FixedBytes(mt)
+		for _, c := range trace.Columns(mt) {
+			if c.Cap != c.Len {
+				t.Errorf("%s: column %s holds capacity %d for length %d", k, c.Name, c.Cap, c.Len)
+			}
+			held += int64(c.Cap * c.ElemBytes)
+		}
+		if mt.SizeBytes() != held {
+			t.Errorf("%s: SizeBytes = %d, the columns hold %d", k, mt.SizeBytes(), held)
+		}
+		records += int64(len(want))
+		bytes += mt.SizeBytes()
+	}
+	perRecord := float64(bytes) / float64(records)
+	t.Logf("%d records, %.2f bytes a record", records, perRecord)
+	if perRecord > 13 {
+		t.Errorf("suite averages %.2f bytes a record, want at most 13", perRecord)
+	}
+}
+
+// TestMemTraceRefusedBeforeAlloc: a budget the end block's record count
+// alone exceeds gets ErrNoMemForm before any column is allocated.
+func TestMemTraceRefusedBeforeAlloc(t *testing.T) {
+	data, want := encodeKernel(t, "cjpeg", 1)
+	pcColumn := uint64(4 * len(want))
+	r := newReader(t, data)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := trace.ReadMemCapped(r, int64(pcColumn))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, trace.ErrNoMemForm) {
+		t.Fatalf("budget below the pc column: got %v, want ErrNoMemForm", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= pcColumn {
+		t.Errorf("refusal allocated %d bytes, at least the %d-byte pc column", got, pcColumn)
+	}
+	if r.Count() != 0 {
+		t.Errorf("refusal decoded %d records", r.Count())
+	}
+}
+
+// TestMemTraceNeedsEndBlockCount: without a readable record count at
+// the end of a random-access input there is no in-memory form, though
+// the Reader streams the same bytes; a count that does not match the
+// records fails as the Reader fails.
+func TestMemTraceNeedsEndBlockCount(t *testing.T) {
+	data, want := encodeKernel(t, "rawcaudio", 1)
+	noMem := map[string]*trace.Reader{
+		"trailing bytes": newReader(t, append(append([]byte(nil), data...), 0, 0)),
+	}
+	stream, err := trace.NewReader(io.MultiReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noMem["not random access"] = stream
+	for name, r := range noMem {
+		if _, err := trace.ReadMem(r); !errors.Is(err, trace.ErrNoMemForm) {
+			t.Errorf("%s: got %v, want ErrNoMemForm", name, err)
+		}
+	}
+
+	// Rewrite the end block to claim one record more.
+	var enc [binary.MaxVarintLen64]byte
+	tail := 1 + binary.PutUvarint(enc[:], uint64(len(want))) + 4
+	claim := binary.AppendUvarint(nil, uint64(len(want)+1))
+	doctored := append(append(append([]byte(nil), data[:len(data)-tail]...), 0), claim...)
+	doctored = binary.LittleEndian.AppendUint32(doctored, crc32.ChecksumIEEE(claim))
+	if _, err := trace.ReadMem(newReader(t, doctored)); !errors.Is(err, trace.ErrCorrupt) {
+		t.Errorf("end block claiming %d of %d records: got %v, want ErrCorrupt", len(want)+1, len(want), err)
+	}
+}
+
+// TestMemTraceOffModelStreams: a valid trace that breaks either fact
+// the cursor rebuilds has no in-memory form; the unedited prefix does.
+func TestMemTraceOffModelStreams(t *testing.T) {
+	for name, build := range map[string]func() ([]byte, error){
+		"source value": tracetest.SourceOffModel,
+		"next pc":      tracetest.PCOffModel,
+	} {
+		data, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newReader(t, data)
+		var d trace.DynInst
+		for r.Next(&d) {
+		}
+		if err := r.Err(); err != nil {
+			t.Fatalf("%s: the Reader must decode the seed: %v", name, err)
+		}
+		if _, err := trace.ReadMem(newReader(t, data)); !errors.Is(err, trace.ErrNoMemForm) {
+			t.Errorf("%s off the model: got %v, want ErrNoMemForm", name, err)
+		}
 	}
 }
 
