@@ -174,11 +174,13 @@ func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
 // Collector is a bounded ring of finished spans: starting a span is
 // two id draws and a timestamp, ending it is one short critical
-// section appending to the ring. When the ring wraps, the oldest spans
-// are overwritten — recent traces stay queryable, memory stays
-// bounded, and nothing is ever blocked on the collector.
+// section appending to the ring. The ring grows by use up to its
+// capacity; past it, the oldest spans are overwritten — recent traces
+// stay queryable, memory stays bounded, and nothing is ever blocked on
+// the collector.
 type Collector struct {
 	service string
+	size    int // the ring's capacity in spans
 
 	mu      sync.Mutex
 	ring    []Span
@@ -197,7 +199,7 @@ func NewCollector(service string, capacity int) *Collector {
 	if capacity <= 0 {
 		capacity = DefaultRingSize
 	}
-	return &Collector{service: service, ring: make([]Span, 0, capacity)}
+	return &Collector{service: service, size: capacity}
 }
 
 // Service reports the process name stamped on this collector's spans.
@@ -237,11 +239,17 @@ func (c *Collector) StartRoot(name string, remote SpanContext) *ActiveSpan {
 // add records a finished span into the ring.
 func (c *Collector) add(sp Span) {
 	c.mu.Lock()
-	if len(c.ring) < cap(c.ring) {
+	if len(c.ring) < c.size {
+		if len(c.ring) == cap(c.ring) {
+			// Double, as append would, but never past the capacity.
+			grown := make([]Span, len(c.ring), min(max(2*cap(c.ring), 16), c.size))
+			copy(grown, c.ring)
+			c.ring = grown
+		}
 		c.ring = append(c.ring, sp)
 	} else {
 		c.ring[c.next] = sp
-		c.next = (c.next + 1) % cap(c.ring)
+		c.next = (c.next + 1) % c.size
 		c.wrapped = true
 		c.dropped++
 	}

@@ -157,6 +157,57 @@ func TestCollectorRingWrap(t *testing.T) {
 	}
 }
 
+// TestCollectorRingGrowsByUse: the ring holds no span storage until
+// spans finish, grows by use without passing its capacity, and reads
+// the same as a preallocated ring at and past the capacity.
+func TestCollectorRingGrowsByUse(t *testing.T) {
+	const size = 100 // not a power of two, so doubling overshoots it
+	c := NewCollector("svc", size)
+	if cap(c.ring) != 0 {
+		t.Fatalf("a new collector holds %d spans of storage, want 0", cap(c.ring))
+	}
+	traces := make([]string, 0, size+3)
+	end := func(i int) {
+		sp := c.StartRoot("s", SpanContext{})
+		sp.SetAttr("i", FormatAttr(i))
+		sp.End()
+		traces = append(traces, sp.TraceID())
+	}
+	for i := 0; i < size; i++ {
+		end(i)
+		if cap(c.ring) > size {
+			t.Fatalf("after %d spans the ring holds %d, past its capacity %d", i+1, cap(c.ring), size)
+		}
+	}
+	if c.Len() != size || c.Dropped() != 0 || cap(c.ring) != size {
+		t.Fatalf("at capacity: Len=%d Dropped=%d cap=%d, want %d, 0, %d", c.Len(), c.Dropped(), cap(c.ring), size, size)
+	}
+	if got := c.Recent(0); got[0].Attrs["i"] != "0" || got[size-1].Attrs["i"] != FormatAttr(size-1) {
+		t.Fatalf("at capacity: Recent spans %s..%s, want 0..%d", got[0].Attrs["i"], got[size-1].Attrs["i"], size-1)
+	}
+	for i := size; i < size+3; i++ {
+		end(i)
+	}
+	if c.Len() != size || c.Dropped() != 3 || cap(c.ring) != size {
+		t.Fatalf("past capacity: Len=%d Dropped=%d cap=%d, want %d, 3, %d", c.Len(), c.Dropped(), cap(c.ring), size, size)
+	}
+	// Oldest-first: the retained spans are i=3..size+2.
+	for k, sp := range c.Recent(0) {
+		if want := FormatAttr(3 + k); sp.Attrs["i"] != want {
+			t.Fatalf("recent[%d].i=%q want %q", k, sp.Attrs["i"], want)
+		}
+	}
+	if got := c.TraceSpans(traces[2]); len(got) != 0 {
+		t.Fatalf("an overwritten span's trace still has %d spans", len(got))
+	}
+	if got := c.TraceSpans(traces[3]); len(got) != 1 || got[0].Attrs["i"] != "3" {
+		t.Fatalf("the oldest retained trace: %+v", got)
+	}
+	if got := c.Recent(2); len(got) != 2 || got[1].Attrs["i"] != FormatAttr(size+2) {
+		t.Fatalf("Recent(2) wrong tail: %+v", got)
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var c *Collector
 	sp := c.StartRoot("x", SpanContext{})

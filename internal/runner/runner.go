@@ -14,10 +14,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"clustervp/internal/config"
 	"clustervp/internal/core"
@@ -42,6 +44,17 @@ type Job struct {
 	// of synthesizing the kernel in-process. Kernel then only labels the
 	// results (falling back to the trace's own header name when empty).
 	Trace string
+
+	// key is the fingerprint Keyed computed, "" until then.
+	key string
+}
+
+// Keyed returns j carrying its fingerprint, so the engine, its run
+// function and the caller read the key without formatting the Config
+// again. Change no field of the keyed job: the key would go stale.
+func (j Job) Keyed() Job {
+	j.key = j.Fingerprint()
+	return j
 }
 
 // EffectiveScale is the scale actually simulated (scales below 1 clamp
@@ -69,6 +82,9 @@ func (j Job) EffectiveScale() int {
 // fingerprints as its path plus the stat error, which still memoizes
 // the (failing) job deterministically.
 func (j Job) Fingerprint() string {
+	if j.key != "" {
+		return j.key
+	}
 	c := j.Config
 	c.Name = ""
 	if j.Trace != "" {
@@ -289,19 +305,32 @@ func (e *Engine) Run(jobs []Job) []Result {
 		wg.Add(1)
 		go func(i int, j Job) {
 			defer wg.Done()
-			res, err, via := e.one(j)
-			out[i] = Result{Job: j, Res: res, Err: err, Via: via}
+			out[i] = e.RunKeyed(j.Keyed())
+			out[i].Job = j
 		}(i, j)
 	}
 	wg.Wait()
 	return out
 }
 
-// one resolves a single job through the memo, simulating at most once
-// per fingerprint. Only the goroutine that claims the memo slot takes a
-// worker token; duplicates block on ready without occupying the pool.
-// The returned Via distinguishes the claiming resolution (simulated or
-// cache) from duplicates, which always report a memo hit.
+// RunKeyed resolves one keyed job (see Job.Keyed) on the caller's
+// goroutine through the memo, simulating at most once per fingerprint.
+// Only the goroutine that claims the memo slot takes a worker token;
+// duplicates block on ready without occupying the pool. The result's
+// Via distinguishes the claiming resolution (simulated or cache) from
+// duplicates, which always report a memo hit.
+//
+// A failure the job determines (validation, the watchdog, a corrupt
+// trace) stays memoized. One that came from the file system — an error
+// wrapping an *fs.PathError or a syscall.Errno, such as a failed open
+// or read of a stored trace — is handed to the duplicates already
+// waiting on it, then dropped from the memo, so the next request for
+// the fingerprint runs again.
+func (e *Engine) RunKeyed(j Job) Result {
+	res, err, via := e.one(j)
+	return Result{Job: j, Res: res, Err: err, Via: via}
+}
+
 func (e *Engine) one(j Job) (stats.Results, error, Via) {
 	fp := j.Fingerprint()
 	e.mu.Lock()
@@ -340,6 +369,11 @@ func (e *Engine) one(j Job) (stats.Results, error, Via) {
 	}
 
 	k := atomic.AddInt64(&e.finished, 1)
+	if ioFailure(ent.err) {
+		e.mu.Lock()
+		delete(e.memo, fp)
+		e.mu.Unlock()
+	}
 	close(ent.ready)
 
 	if e.progress != nil {
@@ -351,6 +385,14 @@ func (e *Engine) one(j Job) (stats.Results, error, Via) {
 		}
 	}
 	return ent.res, ent.err, ViaSimulated
+}
+
+// ioFailure reports whether err came from the file system rather than
+// from the job, so a later run of the same job may succeed.
+func ioFailure(err error) bool {
+	var pe *fs.PathError
+	var errno syscall.Errno
+	return errors.As(err, &pe) || errors.As(err, &errno)
 }
 
 // Snapshot returns every completed unique job the engine has run, in a

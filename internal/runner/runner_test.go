@@ -3,10 +3,12 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -219,6 +221,62 @@ func TestErrorPropagation(t *testing.T) {
 	}
 	if e.Executed() != before {
 		t.Fatalf("failed job re-executed: %d -> %d", before, e.Executed())
+	}
+}
+
+// TestMemoDropsIOFailures: a failure that came from the file system is
+// not memoized, so the next duplicate runs again; a failure the job
+// determines still is.
+func TestMemoDropsIOFailures(t *testing.T) {
+	eio := &fs.PathError{Op: "open", Path: "stored.cvt", Err: syscall.EIO}
+	diverged := errors.New("simulation diverged")
+	var calls atomic.Int64
+	e := New(Options{Workers: 1, Run: func(j Job) (stats.Results, error) {
+		if j.key == "" {
+			t.Error("the run function got an unkeyed job")
+		}
+		n := calls.Add(1)
+		switch {
+		case j.Kernel == "bad":
+			return stats.Results{}, diverged
+		case n == 1:
+			return stats.Results{}, fmt.Errorf("runner: open trace: %w", eio)
+		}
+		return stubRun(nil)(j)
+	}})
+	j := Job{Config: config.Preset(2), Kernel: "k", Scale: 1}
+	if r := e.RunKeyed(j.Keyed()); !errors.Is(r.Err, eio) || r.Via != ViaSimulated {
+		t.Fatalf("first run: err %v via %v, want the I/O error, simulated", r.Err, r.Via)
+	}
+	r := e.RunKeyed(j.Keyed())
+	if r.Err != nil || r.Via != ViaSimulated || r.Res.Benchmark != "k" {
+		t.Fatalf("after an I/O failure: err %v via %v, want a fresh simulation", r.Err, r.Via)
+	}
+	if r := e.Run([]Job{j})[0]; r.Err != nil || r.Via != ViaMemo {
+		t.Fatalf("after the retry: err %v via %v, want a memo hit", r.Err, r.Via)
+	}
+
+	bad := Job{Config: config.Preset(2), Kernel: "bad", Scale: 1}
+	for i, want := range []Via{ViaSimulated, ViaMemo} {
+		if r := e.Run([]Job{bad})[0]; !errors.Is(r.Err, diverged) || r.Via != want {
+			t.Fatalf("job-determined failure, run %d: err %v via %v, want %v", i, r.Err, r.Via, want)
+		}
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("run function called %d times, want 3", got)
+	}
+}
+
+// TestKeyedJob: a keyed job reports the fingerprint it was keyed with.
+func TestKeyedJob(t *testing.T) {
+	for _, j := range []Job{
+		{Config: config.Preset(4), Kernel: "k", Scale: 2, Seed: 7},
+		{Config: config.Preset(2), Trace: "missing.cvt"},
+	} {
+		k := j.Keyed()
+		if k.Fingerprint() != j.Fingerprint() {
+			t.Errorf("keyed fingerprint %q, unkeyed %q", k.Fingerprint(), j.Fingerprint())
+		}
 	}
 }
 

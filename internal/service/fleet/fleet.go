@@ -236,9 +236,11 @@ var errShutdown = errors.New("fleet: coordinator shut down before the job comple
 // A replica that fails mid-shard (transport error, broken stream,
 // exhausted retries) costs a resubmission elsewhere — bounded
 // duplicate work, since the shared content-addressed cache absorbs
-// anything the failed replica already published.
+// anything the failed replica already published. The job is terminal
+// when dispatch returns, so its record drops what only a live job uses.
 func (d *dispatcher) dispatch(j *service.Job, shard int) {
 	defer d.wg.Done()
+	defer j.Release()
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 && attempt%len(d.replicas) == 0 {
 			// A full ring failed: pause a probe period so the loop

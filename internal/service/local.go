@@ -100,8 +100,9 @@ func (l *local) Free(queued, _ int) (int, error) { return l.s.opts.QueueDepth - 
 // worker picks the job up. The admission check happened at the caller,
 // so the avail send cannot block.
 func (l *local) Start(j *Job) {
-	j.span.SetAttr("fingerprint", j.fp)
-	j.queueSpan = j.span.StartChild("queue.wait")
+	live := j.live
+	live.span.SetAttr("fingerprint", j.fp)
+	live.queueSpan = live.span.StartChild("queue.wait")
 	heap.Push(&l.queue, j)
 	l.avail <- struct{}{}
 }
@@ -123,7 +124,7 @@ func (l *local) Close() {
 // parent under the first attached job's run span — the engine
 // deduplicates executions by fingerprint, so the one simulation's
 // timeline lands in one job's trace; the duplicates record a memo-hit
-// via instead.
+// via instead. j arrives keyed, so the fanout lookup formats nothing.
 func (l *local) simulate(j runner.Job) (stats.Results, error) {
 	if l.s.opts.Run != nil {
 		return l.s.opts.Run(j)
@@ -153,8 +154,8 @@ func (l *local) worker() {
 			}
 			l.s.mu.Lock()
 			j := heap.Pop(&l.queue).(*Job)
-			j.queueSpan.End()
-			j.runSpan = j.span.StartChild("job.run")
+			j.live.queueSpan.End()
+			j.live.runSpan = j.live.span.StartChild("job.run")
 			j.advanceLocked(Event{State: StateRunning}, "")
 			l.s.mu.Unlock()
 			l.execute(j)
@@ -163,15 +164,16 @@ func (l *local) worker() {
 }
 
 // execute runs one job through the engine, fanning progress out to
-// every job that shares the fingerprint while it runs, and attributes
-// the outcome — including how it was resolved — to the job's tenant.
+// every job that shares the fingerprint while it runs, attributes the
+// outcome — including how it was resolved — to the job's tenant, and
+// releases the job once /metrics has its span clocks.
 func (l *local) execute(j *Job) {
-	s := l.s
+	s, live := l.s, j.live
 	l.fanoutAttach(j)
-	r := s.eng.Run([]runner.Job{j.rjob})[0]
+	r := s.eng.RunKeyed(live.rjob)
 	l.fanoutDetach(j)
-	j.runSpan.SetAttr("via", r.Via.String())
-	j.runSpan.End()
+	live.runSpan.SetAttr("via", r.Via.String())
+	live.runSpan.End()
 	t := j.tenant
 	if r.Err != nil {
 		s.logger.Warn("job failed",
@@ -190,8 +192,9 @@ func (l *local) execute(j *Job) {
 	// The duration histograms derive from the same span clock the trace
 	// endpoints expose, so the two observability surfaces cannot drift.
 	s.metrics.observeJob(r.Via.String(),
-		j.queueSpan.EndTime().Sub(j.queueSpan.StartTime()),
-		j.span.EndTime().Sub(j.span.StartTime()))
+		live.queueSpan.EndTime().Sub(live.queueSpan.StartTime()),
+		live.span.EndTime().Sub(live.span.StartTime()))
+	j.Release()
 }
 
 // fanoutLookup returns the fanout currently registered for a
@@ -240,15 +243,16 @@ func (f *fanout) add(j *Job) {
 }
 
 // parentSpan returns the first attached job's run span — the parent
-// for the simulation's own spans. Reading j.runSpan here is safe: it
-// is assigned before fanoutAttach publishes the job, and both the add
-// and this read synchronize on f.mu.
+// for the simulation's own spans. Reading j.live here is safe: runSpan
+// is assigned before fanoutAttach publishes the job, both the add and
+// this read synchronize on f.mu, and a job is released only after
+// fanoutDetach removed it under f.mu.
 func (f *fanout) parentSpan() *obs.ActiveSpan {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, j := range f.jobs {
-		if j.runSpan != nil {
-			return j.runSpan
+		if sp := j.live.runSpan; sp != nil {
+			return sp
 		}
 	}
 	return nil
@@ -286,7 +290,7 @@ func (h jobHeap) Less(a, b int) bool {
 	if h[a].priority != h[b].priority {
 		return h[a].priority > h[b].priority
 	}
-	return h[a].seq < h[b].seq
+	return h[a].live.seq < h[b].live.seq
 }
 func (h jobHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
 func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*Job)) }

@@ -399,7 +399,7 @@ func (s *Server) buildJob(req JobRequest) (runner.Job, string, error) {
 		if _, err := workload.ByName(req.Kernel); err != nil {
 			return runner.Job{}, "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		rj := runner.Job{Config: cfg, Kernel: req.Kernel, Scale: req.Scale, Seed: req.Seed}
+		rj := runner.Job{Config: cfg, Kernel: req.Kernel, Scale: req.Scale, Seed: req.Seed}.Keyed()
 		return rj, rj.Fingerprint(), nil
 	default:
 		return runner.Job{}, "", fmt.Errorf("%w: one of kernel or trace_digest is required", ErrBadRequest)
@@ -538,31 +538,36 @@ func (s *Server) enqueueLocked(t *tenantState, req JobRequest, rjob runner.Job, 
 	j := &Job{
 		srv:       s,
 		id:        fmt.Sprintf("%s-%08d", s.jobPrefix, s.nextSeq),
-		seq:       s.nextSeq,
 		priority:  t.clampPriority(req.Priority),
 		tenant:    t,
-		req:       req,
-		rjob:      rjob,
+		kernel:    req.Kernel,
+		digest:    req.TraceDigest,
+		seed:      req.Seed,
 		fp:        key,
 		state:     StateQueued,
 		submitted: time.Now(),
 		terminal:  make(chan struct{}),
-		subs:      make(map[chan Event]struct{}),
+		live:      &liveJob{seq: s.nextSeq, req: req, rjob: rjob},
 	}
+	if req.TraceDigest == "" {
+		j.scale = rjob.EffectiveScale()
+	}
+	var span *obs.ActiveSpan
 	if parent != nil {
-		j.span = parent.StartChild("job " + j.id)
+		span = parent.StartChild("job " + j.id)
 	} else {
-		j.span = s.spans.StartRoot("job "+j.id, obs.SpanContext{})
+		span = s.spans.StartRoot("job "+j.id, obs.SpanContext{})
 	}
-	j.span.SetAttr("job", j.id)
-	j.span.SetAttr("tenant", t.cfg.Name)
+	span.SetAttr("job", j.id)
+	span.SetAttr("tenant", t.cfg.Name)
 	if req.Kernel != "" {
-		j.span.SetAttr("kernel", req.Kernel)
+		span.SetAttr("kernel", req.Kernel)
 	}
 	if req.TraceDigest != "" {
-		j.span.SetAttr("trace_digest", req.TraceDigest)
+		span.SetAttr("trace_digest", req.TraceDigest)
 	}
-	j.traceID = j.span.TraceID()
+	j.live.span = span
+	j.traceID = span.TraceID()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.evictLocked()
@@ -674,26 +679,23 @@ func (s *Server) Stats() ServerStats {
 // Job is the server-side record of one admitted job. Its backend runs
 // it and reports back through Forward and Finish; everything else
 // about the record is the server's.
+//
+// A record outlives its job by up to MaxJobRecords submissions, so it
+// keeps only what its status, events snapshot, trace lookup and request
+// log read. What only a live job uses sits in live, which Release drops
+// once the job is terminal and its backend is done with it.
 type Job struct {
 	srv      *Server
 	id       string
-	seq      int64
 	priority int
 	tenant   *tenantState
-	req      JobRequest
-	rjob     runner.Job
+	kernel   string
+	digest   string // the request's trace digest
+	seed     uint64
+	scale    int    // the effective scale; 0 for a trace job
 	fp       string // the backend's key: the fingerprint, or a fleet's shard key
-
-	// Tracing: span is the job's root (admission→terminal), assigned
-	// once at admission with traceID. A local job also has queueSpan,
-	// the queue.wait child, and runSpan, the job.run child the
-	// simulation's own spans parent under; runSpan is assigned before
-	// the fanout publishes the job, and readers reach it through the
-	// fanout's mutex, so no lock is needed on the field itself.
-	span      *obs.ActiveSpan
-	queueSpan *obs.ActiveSpan
-	runSpan   *obs.ActiveSpan
-	traceID   string
+	traceID  string
+	terminal chan struct{}
 
 	mu        sync.Mutex
 	state     string
@@ -704,9 +706,30 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	prog      Event // the latest progress line
-	subs      map[chan Event]struct{}
-	terminal  chan struct{}
+	prog      Event    // the latest progress line
+	live      *liveJob // nil once released
+}
+
+// liveJob is what a job needs only until its backend is done with it.
+//
+// The job's backend reads it without j.mu: the pointer is set at
+// admission and cleared only by Release, which the backend itself
+// calls. Every other reader holds j.mu and checks for nil.
+type liveJob struct {
+	seq  int64 // submission order, for the local queue
+	req  JobRequest
+	rjob runner.Job
+
+	// Tracing: span is the job's root (admission→terminal). A local job
+	// also has queueSpan, the queue.wait child, and runSpan, the job.run
+	// child the simulation's own spans parent under; runSpan is assigned
+	// before the fanout publishes the job, and readers reach it through
+	// the fanout's mutex, so no lock is needed on the field itself.
+	span      *obs.ActiveSpan
+	queueSpan *obs.ActiveSpan
+	runSpan   *obs.ActiveSpan
+
+	subs map[chan Event]struct{} // guarded by j.mu; nil until the first subscriber
 }
 
 // ID returns the job's ID.
@@ -720,15 +743,37 @@ func (j *Job) Fingerprint() string { return j.fp }
 func (j *Job) TraceID() string { return j.traceID }
 
 // Span returns the job's root span, the parent of whatever spans the
-// backend records for it.
-func (j *Job) Span() *obs.ActiveSpan { return j.span }
+// backend records for it; nil once the job is released.
+func (j *Job) Span() *obs.ActiveSpan {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.live == nil {
+		return nil
+	}
+	return j.live.span
+}
 
 // Request returns the job's request, its priority clamped to the
-// tenant's ceiling.
+// tenant's ceiling; the zero request once the job is released.
 func (j *Job) Request() JobRequest {
-	req := j.req
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.live == nil {
+		return JobRequest{}
+	}
+	req := j.live.req
 	req.Priority = j.priority
 	return req
+}
+
+// Release drops what only a live job uses: its request, its runner
+// job, its spans and its subscriber table. The backend calls it once
+// the job is terminal and it has read the job's spans for the last
+// time. A subscriber still attached has the terminal channel to go by.
+func (j *Job) Release() {
+	j.mu.Lock()
+	j.live = nil
+	j.mu.Unlock()
 }
 
 // status snapshots the job as its wire representation.
@@ -744,10 +789,10 @@ func (j *Job) statusLocked() JobStatus {
 		ID:          j.id,
 		State:       j.state,
 		Tenant:      j.tenant.cfg.Name,
-		Kernel:      j.req.Kernel,
-		Scale:       j.rjob.EffectiveScale(),
-		Seed:        j.req.Seed,
-		TraceDigest: j.req.TraceDigest,
+		Kernel:      j.kernel,
+		Scale:       j.scale,
+		Seed:        j.seed,
+		TraceDigest: j.digest,
 		Priority:    j.priority,
 		Replica:     j.replica,
 		TraceID:     j.traceID,
@@ -755,9 +800,6 @@ func (j *Job) statusLocked() JobStatus {
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
 		Error:       j.errMsg,
-	}
-	if j.req.TraceDigest != "" {
-		st.Scale = 0
 	}
 	if j.hasRes {
 		res := j.res
@@ -832,18 +874,19 @@ func (j *Job) Finish(res stats.Results, err error, replica string, started time.
 		t.queued--
 	}
 	s.mu.Unlock()
+	span := j.live.span
 	j.finished = time.Now()
 	if j.started.IsZero() {
 		j.started = started
 	}
 	if replica != "" {
 		j.replica = replica
-		j.span.SetAttr("replica", replica)
+		span.SetAttr("replica", replica)
 	}
 	if err != nil {
 		j.state = StateFailed
 		j.errMsg = err.Error()
-		j.span.SetAttr("error", j.errMsg)
+		span.SetAttr("error", j.errMsg)
 		s.failed.Add(1)
 		t.failed.Add(1)
 	} else {
@@ -853,10 +896,10 @@ func (j *Job) Finish(res stats.Results, err error, replica string, started time.
 		s.done.Add(1)
 		t.done.Add(1)
 	}
-	j.span.SetAttr("state", j.state)
+	span.SetAttr("state", j.state)
 	close(j.terminal)
 	j.mu.Unlock()
-	j.span.End()
+	span.End()
 }
 
 // broadcastLocked delivers an event to every subscriber without
@@ -864,7 +907,7 @@ func (j *Job) Finish(res stats.Results, err error, replica string, started time.
 // stalls the job.
 func (j *Job) broadcastLocked(ev Event) {
 	ev.TraceID = j.traceID
-	for ch := range j.subs {
+	for ch := range j.live.subs {
 		select {
 		case ch <- ev:
 		default:
@@ -872,17 +915,26 @@ func (j *Job) broadcastLocked(ev Event) {
 	}
 }
 
-// subscribe attaches an event channel and returns it with the current
-// state snapshot; withStatus puts the job's status on the snapshot
-// even when the job is not yet terminal.
+// subscribe returns the current state snapshot and, unless the job is
+// terminal, an event channel attached to it; withStatus puts the job's
+// status on the snapshot even when the job is not yet terminal. A
+// terminal job's snapshot is its last line, so it registers nothing
+// and the channel is nil.
 func (j *Job) subscribe(withStatus bool) (chan Event, Event) {
-	ch := make(chan Event, 32)
+	var ch chan Event
 	j.mu.Lock()
-	j.subs[ch] = struct{}{}
 	snap := j.snapshotEventLocked()
-	if withStatus && snap.Job == nil {
-		st := j.statusLocked()
-		snap.Job = &st
+	if snap.Job == nil {
+		// Not terminal, so not released: Release follows Finish.
+		ch = make(chan Event, 32)
+		if j.live.subs == nil {
+			j.live.subs = make(map[chan Event]struct{})
+		}
+		j.live.subs[ch] = struct{}{}
+		if withStatus {
+			st := j.statusLocked()
+			snap.Job = &st
+		}
 	}
 	j.mu.Unlock()
 	return ch, snap
@@ -890,7 +942,9 @@ func (j *Job) subscribe(withStatus bool) (chan Event, Event) {
 
 func (j *Job) unsubscribe(ch chan Event) {
 	j.mu.Lock()
-	delete(j.subs, ch)
+	if j.live != nil {
+		delete(j.live.subs, ch)
+	}
 	j.mu.Unlock()
 }
 

@@ -414,8 +414,8 @@ func TestEventsStreamProgress(t *testing.T) {
 		tenant:   &tenantState{},
 		id:       "j-test",
 		state:    StateQueued,
-		subs:     make(map[chan Event]struct{}),
 		terminal: make(chan struct{}),
+		live:     &liveJob{},
 	}
 	ch, snap := j.subscribe(false)
 	defer j.unsubscribe(ch)
@@ -607,14 +607,21 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 		t.Fatalf("upload = %d %+v", resp.StatusCode, up)
 	}
 
-	// Corrupt uploads are rejected.
-	cresp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(data[:len(data)/2]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cresp.Body.Close()
-	if cresp.StatusCode != http.StatusBadRequest {
-		t.Errorf("corrupt upload = %d, want 400", cresp.StatusCode)
+	// Corrupt uploads are rejected: a truncated trace, and one with
+	// bytes after its end block, which would otherwise be stored under
+	// a second digest.
+	for name, bad := range map[string][]byte{
+		"truncated":      data[:len(data)/2],
+		"trailing bytes": append(append([]byte(nil), data...), 0),
+	} {
+		cresp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cresp.Body.Close()
+		if cresp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s upload = %d, want 400", name, cresp.StatusCode)
+		}
 	}
 
 	st, err := s.Submit(JobRequest{

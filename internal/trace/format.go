@@ -350,7 +350,7 @@ func (r *Reader) Err() error { return r.err }
 func (r *Reader) readChecked(cap0 uint64, what string) ([]byte, error) {
 	n, err := binary.ReadUvarint(r.r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s length: %v", ErrTruncated, what, err)
+		return nil, fmt.Errorf("%w: %s length: %w", ErrTruncated, what, err)
 	}
 	limit := uint64(maxBlockPayload)
 	if cap0 > 0 {
@@ -364,11 +364,11 @@ func (r *Reader) readChecked(cap0 uint64, what string) ([]byte, error) {
 	}
 	buf := r.scratch[:cap(r.scratch)][:n]
 	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return nil, fmt.Errorf("%w: %s payload: %v", ErrTruncated, what, err)
+		return nil, fmt.Errorf("%w: %s payload: %w", ErrTruncated, what, err)
 	}
 	var crc [4]byte
 	if _, err := io.ReadFull(r.r, crc[:]); err != nil {
-		return nil, fmt.Errorf("%w: %s checksum: %v", ErrTruncated, what, err)
+		return nil, fmt.Errorf("%w: %s checksum: %w", ErrTruncated, what, err)
 	}
 	if got, want := crc32.ChecksumIEEE(buf), binary.LittleEndian.Uint32(crc[:]); got != want {
 		return nil, fmt.Errorf("%w: %s checksum mismatch (%08x != %08x)", ErrCorrupt, what, got, want)
@@ -380,21 +380,21 @@ func (r *Reader) readChecked(cap0 uint64, what string) ([]byte, error) {
 func (r *Reader) nextBlock() bool {
 	count, err := binary.ReadUvarint(r.r)
 	if err != nil {
-		r.err = fmt.Errorf("%w: block count: %v", ErrTruncated, err)
+		r.err = fmt.Errorf("%w: block count: %w", ErrTruncated, err)
 		return false
 	}
 	if count == 0 {
 		// End-of-trace marker: total record count, CRC-checked.
 		total, err := binary.ReadUvarint(r.r)
 		if err != nil {
-			r.err = fmt.Errorf("%w: trailer: %v", ErrTruncated, err)
+			r.err = fmt.Errorf("%w: trailer: %w", ErrTruncated, err)
 			return false
 		}
 		var enc [binary.MaxVarintLen64]byte
 		n := binary.PutUvarint(enc[:], total)
 		var crc [4]byte
 		if _, err := io.ReadFull(r.r, crc[:]); err != nil {
-			r.err = fmt.Errorf("%w: trailer checksum: %v", ErrTruncated, err)
+			r.err = fmt.Errorf("%w: trailer checksum: %w", ErrTruncated, err)
 			return false
 		}
 		if got, want := crc32.ChecksumIEEE(enc[:n]), binary.LittleEndian.Uint32(crc[:]); got != want {
@@ -403,6 +403,15 @@ func (r *Reader) nextBlock() bool {
 		}
 		if total != r.seq {
 			r.err = fmt.Errorf("%w: trailer records %d, decoded %d", ErrCorrupt, total, r.seq)
+			return false
+		}
+		// The end block ends the input: anything after it would give
+		// the same records a second digest.
+		if _, err := r.r.ReadByte(); err != io.EOF {
+			if err == nil {
+				err = fmt.Errorf("%w: bytes after the end block", ErrCorrupt)
+			}
+			r.err = err
 			return false
 		}
 		r.done = true

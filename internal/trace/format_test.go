@@ -3,8 +3,10 @@ package trace_test
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"clustervp/internal/isa"
@@ -203,6 +205,8 @@ func TestTruncationAndCorruptionAreTyped(t *testing.T) {
 		{"no-trailer", func(b []byte) []byte { return b[:len(b)-5] }, []error{trace.ErrTruncated, trace.ErrCorrupt}},
 		{"flipped-payload", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }, []error{trace.ErrCorrupt, trace.ErrTruncated}},
 		{"flipped-crc", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, []error{trace.ErrCorrupt}},
+		{"trailing-byte", func(b []byte) []byte { return append(b, 0) }, []error{trace.ErrCorrupt}},
+		{"trailing-trace", func(b []byte) []byte { return append(b, data...) }, []error{trace.ErrCorrupt}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -218,6 +222,40 @@ func TestTruncationAndCorruptionAreTyped(t *testing.T) {
 			}
 			t.Errorf("error %v is not one of the expected types %v", err, tc.want)
 		})
+	}
+}
+
+// failingReader yields its data, then fails the way a file read does.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// TestReadErrorsKeepTheirCause: a read that fails mid-trace reports
+// ErrTruncated and still wraps the I/O error, so a caller can tell a
+// failing disk from a short file.
+func TestReadErrorsKeepTheirCause(t *testing.T) {
+	data, _ := encodeKernel(t, "rawcaudio", 1)
+	eio := &fs.PathError{Op: "read", Path: "x.cvt", Err: syscall.EIO}
+	r, err := trace.NewReader(&failingReader{data: data[:len(data)/2], err: eio})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d trace.DynInst
+	for r.Next(&d) {
+	}
+	var pe *fs.PathError
+	if err := r.Err(); !errors.Is(err, trace.ErrTruncated) || !errors.As(err, &pe) {
+		t.Fatalf("read failure decoded as %v, want ErrTruncated wrapping the *fs.PathError", err)
 	}
 }
 

@@ -62,6 +62,9 @@ func FuzzTraceReader(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x20
 	f.Add(flipped)
+	// Bytes after the end block: the Reader must reject them, or the
+	// same records would be stored under a second digest.
+	f.Add(append(append([]byte(nil), valid...), 0))
 	// A huge declared header length with no data behind it: the decoder
 	// must reject it by limit, not allocate it.
 	f.Add([]byte{'C', 'V', 'T', 'R', 1, 0xff, 0xff, 0xff, 0xff, 0x7f})

@@ -110,6 +110,7 @@ func TestStoreRejectsCorruptUploads(t *testing.T) {
 			return b
 		}(), ErrCorrupt},
 		{"empty", nil, ErrBadMagic},
+		{"trailing-bytes", append(append([]byte(nil), data...), 0, 0), ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
