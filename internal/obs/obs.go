@@ -27,6 +27,7 @@ package obs
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand/v2"
 	"strings"
@@ -66,9 +67,9 @@ func ParseTraceparent(h string) (sc SpanContext, ok bool) {
 	if !isHex(version) || version == "ff" {
 		return SpanContext{}, false
 	}
-	// Future versions may append fields after the flags; version 00
-	// must be exactly 55 chars.
-	if version == "00" && len(h) != 55 {
+	// Future versions may append fields after the flags, each behind a
+	// "-"; version 00 must be exactly 55 chars.
+	if len(h) > 55 && (version == "00" || h[55] != '-') {
 		return SpanContext{}, false
 	}
 	sc = SpanContext{TraceID: h[3:35], SpanID: h[36:52]}
@@ -112,46 +113,46 @@ func isHexID(s string, n int) bool {
 	return !zero
 }
 
-// NewTraceID returns a fresh random 32-hex trace id. math/rand/v2's
-// global functions are concurrency-safe and plenty for correlation ids
-// (these are not security tokens).
+// NewTraceID returns a fresh random 32-hex trace id.
 func NewTraceID() string {
-	var b [16]byte
-	for {
-		hi, lo := rand.Uint64(), rand.Uint64()
-		if hi|lo == 0 {
-			continue // all-zero is the W3C invalid sentinel
-		}
-		putUint64(b[:8], hi)
-		putUint64(b[8:], lo)
-		return hex.EncodeToString(b[:])
-	}
+	id := newTraceID()
+	return hex.EncodeToString(id[:])
 }
 
 // NewSpanID returns a fresh random 16-hex span id.
 func NewSpanID() string {
-	var b [8]byte
+	id := newSpanID()
+	return hex.EncodeToString(id[:])
+}
+
+// newTraceID draws a random trace id. math/rand/v2's global functions
+// are concurrency-safe and plenty for correlation ids (these are not
+// security tokens).
+func newTraceID() (id [16]byte) {
 	for {
-		v := rand.Uint64()
-		if v == 0 {
-			continue
+		hi, lo := rand.Uint64(), rand.Uint64()
+		if hi|lo != 0 { // all-zero is the W3C invalid sentinel
+			binary.BigEndian.PutUint64(id[:8], hi)
+			binary.BigEndian.PutUint64(id[8:], lo)
+			return id
 		}
-		putUint64(b[:], v)
-		return hex.EncodeToString(b[:])
 	}
 }
 
-func putUint64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
+// newSpanID draws a random span id.
+func newSpanID() (id [8]byte) {
+	for {
+		if v := rand.Uint64(); v != 0 {
+			binary.BigEndian.PutUint64(id[:], v)
+			return id
+		}
 	}
 }
 
-// Span is one finished timed operation in a trace, the unit the
-// collector ring stores and the exporters render. Attrs values are
-// strings so the wire shape stays trivial; numeric attributes are
-// formatted by the instrumentation site.
+// Span is one finished timed operation in a trace, as the collector
+// reports it and the exporters render it. Attrs values are strings so
+// the wire shape stays trivial; numeric attributes are formatted by
+// the instrumentation site.
 type Span struct {
 	TraceID  string `json:"trace_id"`
 	SpanID   string `json:"span_id"`
@@ -172,6 +173,59 @@ type Span struct {
 // Duration is the span's wall-clock extent.
 func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
+// record is one finished span as the ring keeps it: binary ids, the
+// start as Unix nanoseconds with the duration End measured, and the
+// attributes in an exact-length slice. The service is the collector's,
+// so no record repeats it. Recent and TraceSpans expand records into
+// Spans; nothing else does.
+type record struct {
+	trace  [16]byte
+	span   [8]byte
+	parent [8]byte // zero when the span has no parent
+	name   string
+	start  int64         // Unix nanoseconds
+	dur    time.Duration // measured on the monotonic clock
+	attrs  []attr
+}
+
+// attr is one span attribute.
+type attr struct{ k, v string }
+
+// setAttr sets k, replacing an earlier value.
+func (r *record) setAttr(k, v string) {
+	for i := range r.attrs {
+		if r.attrs[i].k == k {
+			r.attrs[i].v = v
+			return
+		}
+	}
+	r.attrs = append(r.attrs, attr{k, v})
+}
+
+// export expands the record into its public form.
+func (r *record) export(service string) Span {
+	start := time.Unix(0, r.start)
+	sp := Span{
+		TraceID: hex.EncodeToString(r.trace[:]),
+		SpanID:  hex.EncodeToString(r.span[:]),
+		Name:    r.name,
+		Service: service,
+		Start:   start,
+		End:     start.Add(r.dur),
+		DurUS:   r.dur.Microseconds(),
+	}
+	if r.parent != [8]byte{} {
+		sp.ParentID = hex.EncodeToString(r.parent[:])
+	}
+	if len(r.attrs) > 0 {
+		sp.Attrs = make(map[string]string, len(r.attrs))
+		for _, a := range r.attrs {
+			sp.Attrs[a.k] = a.v
+		}
+	}
+	return sp
+}
+
 // Collector is a bounded ring of finished spans: starting a span is
 // two id draws and a timestamp, ending it is one short critical
 // section appending to the ring. The ring grows by use up to its
@@ -183,14 +237,14 @@ type Collector struct {
 	size    int // the ring's capacity in spans
 
 	mu      sync.Mutex
-	ring    []Span
-	next    int
-	wrapped bool
+	ring    []record
+	next    int    // the oldest slot once the ring is full, else 0
 	dropped uint64 // spans overwritten by ring wrap, for tracez stats
 }
 
-// DefaultRingSize bounds the collector when the caller passes <=0: at
-// ~300 B/span this is a few MB of recent history.
+// DefaultRingSize bounds the collector when the caller passes <=0. A
+// service's request and job spans keep about 190 B of live heap each
+// (TestRetainedSpanBytes), so a full ring is about 3 MB.
 const DefaultRingSize = 16384
 
 // NewCollector returns a collector whose spans carry the given service
@@ -218,52 +272,49 @@ func (c *Collector) StartRoot(name string, remote SpanContext) *ActiveSpan {
 	if c == nil {
 		return nil
 	}
-	sp := &ActiveSpan{
-		c: c,
-		span: Span{
-			SpanID:  NewSpanID(),
-			Name:    name,
-			Service: c.service,
-			Start:   time.Now(),
-		},
-	}
+	sp := c.start(name)
 	if remote.Valid() {
-		sp.span.TraceID = remote.TraceID
-		sp.span.ParentID = remote.SpanID
+		// Valid means lowercase hex of the ids' lengths: no decode error.
+		_, _ = hex.Decode(sp.rec.trace[:], []byte(remote.TraceID))
+		_, _ = hex.Decode(sp.rec.parent[:], []byte(remote.SpanID))
 	} else {
-		sp.span.TraceID = NewTraceID()
+		sp.rec.trace = newTraceID()
 	}
 	return sp
 }
 
+// start starts a span with a fresh span id and no trace yet.
+func (c *Collector) start(name string) *ActiveSpan {
+	now := time.Now()
+	return &ActiveSpan{c: c, start: now, rec: record{span: newSpanID(), name: name, start: now.UnixNano()}}
+}
+
 // add records a finished span into the ring.
-func (c *Collector) add(sp Span) {
+func (c *Collector) add(rec record) {
 	c.mu.Lock()
 	if len(c.ring) < c.size {
 		if len(c.ring) == cap(c.ring) {
 			// Double, as append would, but never past the capacity.
-			grown := make([]Span, len(c.ring), min(max(2*cap(c.ring), 16), c.size))
+			grown := make([]record, len(c.ring), min(max(2*cap(c.ring), 16), c.size))
 			copy(grown, c.ring)
 			c.ring = grown
 		}
-		c.ring = append(c.ring, sp)
+		c.ring = append(c.ring, rec)
 	} else {
-		c.ring[c.next] = sp
+		c.ring[c.next] = rec
 		c.next = (c.next + 1) % c.size
-		c.wrapped = true
 		c.dropped++
 	}
 	c.mu.Unlock()
 }
 
-// snapshotLocked copies the ring oldest-first; c.mu must be held.
-func (c *Collector) snapshotLocked() []Span {
-	if !c.wrapped {
-		return append([]Span(nil), c.ring...)
+// export expands records into Spans. It runs outside c.mu: a record's
+// fields never change once it is in the ring.
+func (c *Collector) export(recs []record) []Span {
+	out := make([]Span, len(recs))
+	for i := range recs {
+		out[i] = recs[i].export(c.service)
 	}
-	out := make([]Span, 0, len(c.ring))
-	out = append(out, c.ring[c.next:]...)
-	out = append(out, c.ring[:c.next]...)
 	return out
 }
 
@@ -274,16 +325,23 @@ func (c *Collector) TraceSpans(traceID string) []Span {
 	if c == nil {
 		return nil
 	}
+	// An id that is not 32 lowercase hex stays zero, which no recorded
+	// trace has.
+	var id [16]byte
+	if isHexID(traceID, 32) {
+		_, _ = hex.Decode(id[:], []byte(traceID))
+	}
+	var recs []record
 	c.mu.Lock()
-	all := c.snapshotLocked()
-	c.mu.Unlock()
-	out := make([]Span, 0, 8)
-	for _, sp := range all {
-		if sp.TraceID == traceID {
-			out = append(out, sp)
+	for _, part := range [2][]record{c.ring[c.next:], c.ring[:c.next]} {
+		for i := range part {
+			if part[i].trace == id {
+				recs = append(recs, part[i])
+			}
 		}
 	}
-	return out
+	c.mu.Unlock()
+	return c.export(recs)
 }
 
 // Recent returns up to limit of the most recently finished spans,
@@ -293,12 +351,18 @@ func (c *Collector) Recent(limit int) []Span {
 		return nil
 	}
 	c.mu.Lock()
-	all := c.snapshotLocked()
-	c.mu.Unlock()
-	if limit > 0 && len(all) > limit {
-		all = all[len(all)-limit:]
+	older, newer := c.ring[c.next:], c.ring[:c.next]
+	if limit <= 0 || limit > len(c.ring) {
+		limit = len(c.ring)
 	}
-	return all
+	recs := make([]record, 0, limit)
+	if skip := len(c.ring) - limit; skip < len(older) {
+		recs = append(append(recs, older[skip:]...), newer...)
+	} else {
+		recs = append(recs, newer[skip-len(older):]...)
+	}
+	c.mu.Unlock()
+	return c.export(recs)
 }
 
 // Dropped reports how many finished spans the ring has overwritten.
@@ -325,10 +389,11 @@ func (c *Collector) Len() int {
 // ring by End (exactly once); SetAttr may be called from the owning
 // goroutine between Start and End. All methods are nil-receiver safe.
 type ActiveSpan struct {
-	c *Collector
+	c     *Collector
+	start time.Time // with the monotonic reading End measures against
 
 	mu    sync.Mutex
-	span  Span
+	rec   record // its ids, name and start never change
 	ended bool
 }
 
@@ -337,7 +402,7 @@ func (a *ActiveSpan) Context() SpanContext {
 	if a == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: a.span.TraceID, SpanID: a.span.SpanID}
+	return SpanContext{TraceID: a.TraceID(), SpanID: a.SpanID()}
 }
 
 // TraceID returns the span's trace id ("" for nil).
@@ -345,7 +410,7 @@ func (a *ActiveSpan) TraceID() string {
 	if a == nil {
 		return ""
 	}
-	return a.span.TraceID
+	return hex.EncodeToString(a.rec.trace[:])
 }
 
 // SpanID returns the span's own id ("" for nil).
@@ -353,7 +418,7 @@ func (a *ActiveSpan) SpanID() string {
 	if a == nil {
 		return ""
 	}
-	return a.span.SpanID
+	return hex.EncodeToString(a.rec.span[:])
 }
 
 // StartTime returns when the span started (zero for nil).
@@ -361,31 +426,33 @@ func (a *ActiveSpan) StartTime() time.Time {
 	if a == nil {
 		return time.Time{}
 	}
-	return a.span.Start
+	return a.start
 }
 
-// EndTime returns when the span ended (zero for nil or still running).
+// EndTime returns when the span ended (zero for nil or still running):
+// its start plus the duration End measured.
 func (a *ActiveSpan) EndTime() time.Time {
 	if a == nil {
 		return time.Time{}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.span.End
+	if !a.ended {
+		return time.Time{}
+	}
+	return a.start.Add(a.rec.dur)
 }
 
-// SetAttr attaches a key/value attribute. Setting after End is a
-// silent no-op (the span is already in the ring).
+// SetAttr attaches a key/value attribute, replacing an earlier value
+// of the key. Setting after End is a silent no-op (the span is already
+// in the ring).
 func (a *ActiveSpan) SetAttr(k, v string) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	if !a.ended {
-		if a.span.Attrs == nil {
-			a.span.Attrs = make(map[string]string, 4)
-		}
-		a.span.Attrs[k] = v
+		a.rec.setAttr(k, v)
 	}
 	a.mu.Unlock()
 }
@@ -402,11 +469,15 @@ func (a *ActiveSpan) End() {
 		return
 	}
 	a.ended = true
-	a.span.End = time.Now()
-	a.span.DurUS = a.span.End.Sub(a.span.Start).Microseconds()
-	sp := a.span
+	a.rec.dur = time.Since(a.start)
+	if len(a.rec.attrs) < cap(a.rec.attrs) {
+		// The ring keeps the record for thousands of spans' time: trim
+		// append's headroom.
+		a.rec.attrs = append([]attr(nil), a.rec.attrs...)
+	}
+	rec := a.rec
 	a.mu.Unlock()
-	a.c.add(sp)
+	a.c.add(rec)
 }
 
 // StartChild starts a new span under this one, in the same collector
@@ -415,17 +486,10 @@ func (a *ActiveSpan) StartChild(name string) *ActiveSpan {
 	if a == nil {
 		return nil
 	}
-	return &ActiveSpan{
-		c: a.c,
-		span: Span{
-			TraceID:  a.span.TraceID,
-			SpanID:   NewSpanID(),
-			ParentID: a.span.SpanID,
-			Name:     name,
-			Service:  a.c.service,
-			Start:    time.Now(),
-		},
-	}
+	sp := a.c.start(name)
+	sp.rec.trace = a.rec.trace
+	sp.rec.parent = a.rec.span
+	return sp
 }
 
 // ctxKey keys the active span in a context.

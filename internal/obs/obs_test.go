@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,9 +23,15 @@ func TestParseTraceparent(t *testing.T) {
 		t.Fatalf("round trip: got %q want %q", got, valid)
 	}
 
-	// A future version may carry extra fields after the flags.
-	if _, ok := ParseTraceparent("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra"); !ok {
-		t.Fatal("future-version header with suffix should parse")
+	// A future version may carry extra fields after the flags, each
+	// behind a "-", or end at the flags.
+	for _, h := range []string{
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+	} {
+		if _, ok := ParseTraceparent(h); !ok {
+			t.Errorf("future-version header %q should parse", h)
+		}
 	}
 
 	bad := []string{
@@ -38,6 +45,7 @@ func TestParseTraceparent(t *testing.T) {
 		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",   // uppercase hex
 		"00-4bf92f3577b34da6a3ce929d0e0e473g-00f067aa0ba902b7-01",   // non-hex
 		"0-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",    // short version
+		"01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01x",  // flags run on past 2 chars
 	}
 	for _, h := range bad {
 		if _, ok := ParseTraceparent(h); ok {
@@ -413,4 +421,100 @@ func TestConcurrentCollector(t *testing.T) {
 	if c.Len() != 64 {
 		t.Fatalf("Len=%d want full ring", c.Len())
 	}
+}
+
+// TestRingReadBack: what Recent and TraceSpans return for each span is
+// what its ActiveSpan recorded — ids, parent, name, service,
+// attributes, start, end and duration — for a span with a remote
+// parent, its children, a span whose attribute was set twice and one
+// with no attributes.
+func TestRingReadBack(t *testing.T) {
+	c := NewCollector("svc", 16)
+	remote := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	root := c.StartRoot("http POST /v1/jobs", remote)
+	root.SetAttr("route", "POST /v1/jobs")
+	job := root.StartChild("job j-1")
+	job.SetAttr("state", "queued")
+	job.SetAttr("tenant", "anonymous")
+	job.SetAttr("state", "done") // replaces, keeps one key
+	bare := job.StartChild("queue.wait")
+	time.Sleep(time.Millisecond)
+	bare.End()
+	job.End()
+	root.End()
+	other := c.StartRoot("job j-2", SpanContext{})
+	other.End()
+
+	type want struct {
+		a      *ActiveSpan
+		name   string
+		parent string
+		attrs  map[string]string
+	}
+	wants := []want{
+		{bare, "queue.wait", job.SpanID(), nil},
+		{job, "job j-1", root.SpanID(), map[string]string{"state": "done", "tenant": "anonymous"}},
+		{root, "http POST /v1/jobs", remote.SpanID, map[string]string{"route": "POST /v1/jobs"}},
+		{other, "job j-2", "", nil},
+	}
+	check := func(from string, got []Span, wants []want) {
+		t.Helper()
+		if len(got) != len(wants) {
+			t.Fatalf("%s: %d spans, want %d", from, len(got), len(wants))
+		}
+		for i, w := range wants {
+			sp, a := got[i], w.a
+			if sp.TraceID != a.TraceID() || sp.SpanID != a.SpanID() || sp.ParentID != w.parent {
+				t.Errorf("%s[%d]: ids %s/%s/%s, want %s/%s/%s", from, i,
+					sp.TraceID, sp.SpanID, sp.ParentID, a.TraceID(), a.SpanID(), w.parent)
+			}
+			if sp.Name != w.name || sp.Service != "svc" {
+				t.Errorf("%s[%d]: name %q service %q, want %q svc", from, i, sp.Name, sp.Service, w.name)
+			}
+			if !reflect.DeepEqual(sp.Attrs, w.attrs) {
+				t.Errorf("%s[%d] %s: attrs %v, want %v", from, i, sp.Name, sp.Attrs, w.attrs)
+			}
+			measured := a.EndTime().Sub(a.StartTime())
+			if !sp.Start.Equal(a.StartTime()) || !sp.End.Equal(a.EndTime()) {
+				t.Errorf("%s[%d] %s: %v..%v, want %v..%v", from, i, sp.Name, sp.Start, sp.End, a.StartTime(), a.EndTime())
+			}
+			if sp.Duration() != measured || sp.DurUS != measured.Microseconds() {
+				t.Errorf("%s[%d] %s: duration %v (%d us), End measured %v", from, i, sp.Name, sp.Duration(), sp.DurUS, measured)
+			}
+		}
+	}
+	check("Recent", c.Recent(0), wants)
+	check("TraceSpans", c.TraceSpans(remote.TraceID), wants[:3])
+	check("TraceSpans", c.TraceSpans(other.TraceID()), wants[3:])
+	if bare.EndTime().Sub(bare.StartTime()) < time.Millisecond {
+		t.Errorf("queue.wait measured %v across a 1ms sleep", bare.EndTime().Sub(bare.StartTime()))
+	}
+	for _, id := range []string{"", strings.ToUpper(remote.TraceID), "00000000000000000000000000000000"} {
+		if got := c.TraceSpans(id); len(got) != 0 {
+			t.Errorf("TraceSpans(%q) matched %d spans", id, len(got))
+		}
+	}
+}
+
+// FuzzTraceparent: parsing never panics, an accepted header's context
+// round-trips through Traceparent, and a root started from it reads
+// back from the ring with the same trace id and the remote span as its
+// parent.
+func FuzzTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if again, ok := ParseTraceparent(sc.Traceparent()); !ok || again != sc {
+			t.Fatalf("%q parsed to %+v, whose traceparent parses to %+v, %v", h, sc, again, ok)
+		}
+		c := NewCollector("fuzz", 1)
+		sp := c.StartRoot("root", sc)
+		sp.End()
+		got := c.Recent(0)
+		if len(got) != 1 || got[0].TraceID != sc.TraceID || got[0].ParentID != sc.SpanID {
+			t.Fatalf("root under %+v reads back as %+v", sc, got)
+		}
+	})
 }

@@ -17,6 +17,7 @@ package runner
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -68,12 +69,27 @@ type cacheEntry struct {
 	Results     stats.Results `json:"results"`
 }
 
-// cacheKey is the blob key an entry for the fingerprint lives at: the
-// SHA-256 of the fingerprint keeps keys backend-safe and uniform
-// regardless of what characters the fingerprint contains.
-func cacheKey(fingerprint string) string {
-	sum := sha256.Sum256([]byte(fingerprint))
-	return fmt.Sprintf("%x.cvr", sum)
+// cacheKey is the blob key an entry for the fingerprint lives at: its
+// KeyDigest keeps keys backend-safe and uniform regardless of what
+// characters the fingerprint contains.
+func cacheKey(fingerprint string) string { return KeyDigest(fingerprint) + ".cvr" }
+
+// KeyDigest is the 64-hex SHA-256 of a job key (a fingerprint): the
+// stem of the result-cache file that key's entry lives in, and the
+// short name clusterd gives a job's key in its records, spans and
+// logs. The key is hashed a block at a time, never copied whole: a
+// fingerprint is most of a kilobyte and is digested on every job
+// admission.
+func KeyDigest(key string) string {
+	h := sha256.New()
+	var block [sha256.BlockSize]byte
+	for len(key) > 0 {
+		n := copy(block[:], key)
+		h.Write(block[:n])
+		key = key[n:]
+	}
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // encodeCacheEntry frames one entry for storage.

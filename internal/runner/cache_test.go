@@ -6,8 +6,12 @@ package runner
 // the contract the clusterd service restarts depend on.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -255,5 +259,23 @@ func TestEngineCacheSkipsFailedJobs(t *testing.T) {
 	}
 	if _, err := cache.Load(job.Fingerprint()); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("failed job left a cache entry (err=%v)", err)
+	}
+}
+
+// TestKeyDigestNamesCacheFiles: KeyDigest is the SHA-256 of the key in
+// lowercase hex whatever the key's length against the hash's 64-byte
+// block, and a fingerprint's cache file is still named by it, so a
+// cache directory written before KeyDigest existed still hits.
+func TestKeyDigestNamesCacheFiles(t *testing.T) {
+	fp := Job{Config: config.Preset(4), Kernel: "rawcaudio"}.Fingerprint()
+	for _, key := range []string{"", "fp", strings.Repeat("k", 63), strings.Repeat("k", 64), strings.Repeat("k", 65), fp} {
+		sum := sha256.Sum256([]byte(key))
+		want := hex.EncodeToString(sum[:])
+		if got := KeyDigest(key); got != want {
+			t.Errorf("KeyDigest of a %d-byte key = %s, want %s", len(key), got, want)
+		}
+		if got, was := cacheKey(key), fmt.Sprintf("%x.cvr", sum); got != was {
+			t.Errorf("cacheKey of a %d-byte key = %s, was %s", len(key), got, was)
+		}
 	}
 }

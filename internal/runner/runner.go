@@ -294,6 +294,15 @@ func (e *Engine) CachePutErrors() int64 { return atomic.LoadInt64(&e.cachePutErr
 // sim-instrs/s throughput figure. Memo and cache hits add nothing.
 func (e *Engine) SimInstructions() uint64 { return atomic.LoadUint64(&e.simInstrs) }
 
+// MemoEntries reports how many fingerprints the memo holds, resolved
+// or in flight. The memo lets go only of file-system failures, so on a
+// long-lived engine this is nearly every distinct job it has run.
+func (e *Engine) MemoEntries() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.memo)
+}
+
 // Run executes the jobs and returns results in job order. Duplicate
 // jobs — within this call or against earlier calls on the same engine —
 // are simulated once and share the memoized result. Per-job errors are

@@ -178,11 +178,12 @@ func (d *dispatcher) Free(queued, running int) (int, error) {
 	return d.opts.QueueDepth - queued - running, nil
 }
 
-// Start assigns the job its home shard and dispatches it.
+// Start assigns the job its home shard, by the digest of its key, and
+// dispatches it.
 func (d *dispatcher) Start(j *service.Job) {
-	shard := d.shardOf(j.Fingerprint())
+	shard := d.shardOf(j.KeyDigest())
 	j.Span().SetAttr("shard", strconv.Itoa(shard))
-	j.Span().SetAttr("shard_key", j.Fingerprint())
+	j.Span().SetAttr("shard_key", j.KeyDigest())
 	d.wg.Add(1)
 	go d.dispatch(j, shard)
 }

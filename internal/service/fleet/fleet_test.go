@@ -111,15 +111,16 @@ func waitJob(t *testing.T, co *Coordinator, id string) service.JobStatus {
 	return service.JobStatus{}
 }
 
-// shardKey is the key a kernel job is sharded by: its fingerprint.
+// shardKey is the key a kernel job is sharded by: the digest of its
+// fingerprint.
 func shardKey(t *testing.T, r service.JobRequest) string {
 	t.Helper()
-	return runner.Job{Config: mustBuild(t, r.Machine), Kernel: r.Kernel, Scale: r.Scale, Seed: r.Seed}.Fingerprint()
+	return runner.KeyDigest(runner.Job{Config: mustBuild(t, r.Machine), Kernel: r.Kernel, Scale: r.Scale, Seed: r.Seed}.Fingerprint())
 }
 
 // TestShardAssignmentDeterministic: the home shard is a pure function
-// of the fingerprint and the configured list — stable across calls,
-// coordinators, and unaffected by health.
+// of the fingerprint's digest and the configured list — stable across
+// calls, coordinators, and unaffected by health.
 func TestShardAssignmentDeterministic(t *testing.T) {
 	d := &dispatcher{replicas: make([]*replica, 3)}
 	d2 := &dispatcher{replicas: make([]*replica, 3)}

@@ -374,7 +374,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	ri := infoFrom(r.Context())
 	ri.jobID = j.id
-	ri.fp = j.fp
+	ri.fp = j.keyDigest
 	writeJSON(w, http.StatusOK, j.status())
 }
 
@@ -387,7 +387,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	ri := infoFrom(r.Context())
 	ri.jobID = j.id
-	ri.fp = j.fp
+	ri.fp = j.keyDigest
 	writeEvents(w, r, http.StatusOK, j, false)
 }
 
@@ -401,7 +401,7 @@ const NDJSONType = "application/x-ndjson"
 // still gets exactly one meaningful line; withStatus puts the job's
 // status on it. The terminal line carries the final status.
 func writeEvents(w http.ResponseWriter, r *http.Request, code int, j *Job, withStatus bool) {
-	ch, snap := j.subscribe(withStatus)
+	ch, terminal, snap := j.subscribe(withStatus)
 	defer j.unsubscribe(ch)
 	w.Header().Set("Content-Type", NDJSONType)
 	w.WriteHeader(code)
@@ -431,7 +431,7 @@ func writeEvents(w http.ResponseWriter, r *http.Request, code int, j *Job, withS
 			if !emit(ev) {
 				return
 			}
-		case <-j.terminal:
+		case <-terminal:
 			emit(j.terminalEvent())
 			return
 		}

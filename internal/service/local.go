@@ -89,7 +89,7 @@ func (l *local) TraceJob(cfg config.Config, digest string) (runner.Job, string, 
 	if !store.Has(digest) {
 		return runner.Job{}, "", fmt.Errorf("%w: trace %s not uploaded", ErrBadRequest, digest)
 	}
-	rj := runner.Job{Config: cfg, Trace: path}
+	rj := runner.Job{Config: cfg, Trace: path}.Keyed()
 	return rj, rj.Fingerprint(), nil
 }
 
@@ -101,7 +101,7 @@ func (l *local) Free(queued, _ int) (int, error) { return l.s.opts.QueueDepth - 
 // so the avail send cannot block.
 func (l *local) Start(j *Job) {
 	live := j.live
-	live.span.SetAttr("fingerprint", j.fp)
+	live.span.SetAttr("fingerprint", j.keyDigest)
 	live.queueSpan = live.span.StartChild("queue.wait")
 	heap.Push(&l.queue, j)
 	l.avail <- struct{}{}
@@ -177,14 +177,14 @@ func (l *local) execute(j *Job) {
 	t := j.tenant
 	if r.Err != nil {
 		s.logger.Warn("job failed",
-			"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "via", r.Via.String(),
+			"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.keyDigest, "via", r.Via.String(),
 			"trace_id", j.traceID, "error", r.Err.Error())
 	} else {
 		if r.Via == runner.ViaCache {
 			t.cacheHits.Add(1)
 		}
 		s.logger.Info("job done",
-			"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "via", r.Via.String(),
+			"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.keyDigest, "via", r.Via.String(),
 			"trace_id", j.traceID,
 			"cycles", r.Res.Cycles, "instructions", r.Res.Instructions)
 	}
@@ -206,14 +206,16 @@ func (l *local) fanoutLookup(fp string) *fanout {
 }
 
 // fanoutAttach registers j for progress on its fingerprint, creating
-// the fanout if needed.
+// the fanout if needed. The fingerprint is the one the engine passes
+// the run function: the live job's keyed runner job carries it.
 func (l *local) fanoutAttach(j *Job) {
+	fp := j.live.rjob.Fingerprint()
 	l.fanMu.Lock()
 	defer l.fanMu.Unlock()
-	f := l.fanouts[j.fp]
+	f := l.fanouts[fp]
 	if f == nil {
 		f = &fanout{}
-		l.fanouts[j.fp] = f
+		l.fanouts[fp] = f
 	}
 	f.add(j)
 }
@@ -222,10 +224,11 @@ func (l *local) fanoutAttach(j *Job) {
 // attached job. Attach and detach share fanMu, so a detach can never
 // delete a fanout a concurrent attach just joined.
 func (l *local) fanoutDetach(j *Job) {
+	fp := j.live.rjob.Fingerprint()
 	l.fanMu.Lock()
 	defer l.fanMu.Unlock()
-	if f := l.fanouts[j.fp]; f != nil && f.remove(j) == 0 {
-		delete(l.fanouts, j.fp)
+	if f := l.fanouts[fp]; f != nil && f.remove(j) == 0 {
+		delete(l.fanouts, fp)
 	}
 }
 

@@ -169,6 +169,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.family("clusterd_jobs_running", "Jobs currently executing.", "gauge")
 	p.sample("clusterd_jobs_running", float64(st.Queue.Running))
 
+	// What a long-lived server holds: job records up to MaxJobRecords,
+	// finished spans up to the ring's size, and on a box the engine's
+	// memo, which nothing bounds.
+	s.mu.Lock()
+	records := len(s.jobs)
+	s.mu.Unlock()
+	p.family("clusterd_job_records", "Job records retained for status lookups.", "gauge")
+	p.sample("clusterd_job_records", float64(records))
+	p.family("clusterd_spans_retained", "Finished spans retained in the tracing ring.", "gauge")
+	p.sample("clusterd_spans_retained", float64(s.spans.Len()))
+	if s.eng != nil {
+		p.family("clusterd_memo_entries", "Distinct jobs the engine's in-memory memo holds.", "gauge")
+		p.sample("clusterd_memo_entries", float64(s.eng.MemoEntries()))
+	}
+
 	p.family("clusterd_jobs_submitted_total", "Jobs admitted to the queue.", "counter")
 	p.sample("clusterd_jobs_submitted_total", float64(st.Queue.Submitted))
 	p.family("clusterd_jobs_done_total", "Jobs finished successfully.", "counter")

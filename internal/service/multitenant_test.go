@@ -372,6 +372,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	waitJob(t, s, st.ID)
 	// One known-error request populates a non-2xx HTTP series.
 	doReq(t, http.MethodGet, ts.URL+"/v1/jobs/j-99999999", "", "")
+	// A span ends just after its job's status or its request's response
+	// is out: wait for all four.
+	const retained = 4
+	for deadline := time.Now().Add(5 * time.Second); s.Spans().Len() < retained && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 
 	resp, body := doReq(t, http.MethodGet, ts.URL+"/metrics", "", "")
 	if resp.StatusCode != http.StatusOK {
@@ -404,6 +410,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if samples["clusterd_jobs_done_total"] < 1 {
 		t.Error("clusterd_jobs_done_total is zero after a done job")
+	}
+
+	// The state gauges read what the server holds at exposition time:
+	// one job record, one memo entry, and four finished spans (the
+	// job's root, queue.wait and job.run, and the 404 request's; the
+	// scrape's own span ends after its body is written).
+	for series, want := range map[string]float64{
+		"clusterd_job_records":    1,
+		"clusterd_memo_entries":   1,
+		"clusterd_spans_retained": retained,
+	} {
+		if got, ok := samples[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
 	}
 
 	// The latency histogram is cumulative and consistent: every family

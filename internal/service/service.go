@@ -254,7 +254,8 @@ type Backend interface {
 	// prefix of its job IDs.
 	Names() (service, jobPrefix string)
 	// TraceJob keys a job that replays the uploaded trace digest on
-	// machine cfg; a kernel job's key is its fingerprint. Failures wrap
+	// machine cfg; a kernel job's key is its fingerprint. The server
+	// names a job by its key's runner.KeyDigest. Failures wrap
 	// ErrBadRequest.
 	TraceJob(cfg config.Config, digest string) (runner.Job, string, error)
 	// Free returns how many more jobs fit beside the queued and running
@@ -432,7 +433,7 @@ func (s *Server) submitAs(t *tenantState, req JobRequest, parent *obs.ActiveSpan
 	}
 	j := s.enqueueLocked(t, req, rjob, key, parent)
 	s.logger.Info("job submitted",
-		"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.fp, "priority", j.priority,
+		"tenant", t.cfg.Name, "job", j.id, "fingerprint", j.keyDigest, "priority", j.priority,
 		"trace_id", j.traceID)
 	return j, j.status(), nil
 }
@@ -543,11 +544,10 @@ func (s *Server) enqueueLocked(t *tenantState, req JobRequest, rjob runner.Job, 
 		kernel:    req.Kernel,
 		digest:    req.TraceDigest,
 		seed:      req.Seed,
-		fp:        key,
+		keyDigest: runner.KeyDigest(key),
 		state:     StateQueued,
 		submitted: time.Now(),
-		terminal:  make(chan struct{}),
-		live:      &liveJob{seq: s.nextSeq, req: req, rjob: rjob},
+		live:      &liveJob{seq: s.nextSeq, req: req, rjob: rjob, terminal: make(chan struct{})},
 	}
 	if req.TraceDigest == "" {
 		j.scale = rjob.EffectiveScale()
@@ -683,19 +683,20 @@ func (s *Server) Stats() ServerStats {
 // A record outlives its job by up to MaxJobRecords submissions, so it
 // keeps only what its status, events snapshot, trace lookup and request
 // log read. What only a live job uses sits in live, which Release drops
-// once the job is terminal and its backend is done with it.
+// once the job is terminal and its backend is done with it. The record
+// names the job's key by its 64-hex digest; the key itself, most of a
+// kilobyte, stays in live.rjob.
 type Job struct {
-	srv      *Server
-	id       string
-	priority int
-	tenant   *tenantState
-	kernel   string
-	digest   string // the request's trace digest
-	seed     uint64
-	scale    int    // the effective scale; 0 for a trace job
-	fp       string // the backend's key: the fingerprint, or a fleet's shard key
-	traceID  string
-	terminal chan struct{}
+	srv       *Server
+	id        string
+	priority  int
+	tenant    *tenantState
+	kernel    string
+	digest    string // the request's trace digest
+	seed      uint64
+	scale     int    // the effective scale; 0 for a trace job
+	keyDigest string // runner.KeyDigest of the backend's key
+	traceID   string
 
 	mu        sync.Mutex
 	state     string
@@ -718,7 +719,11 @@ type Job struct {
 type liveJob struct {
 	seq  int64 // submission order, for the local queue
 	req  JobRequest
-	rjob runner.Job
+	rjob runner.Job // keyed on a box: the engine and the progress fanout read its key
+
+	// terminal closes when the job finishes; an events stream that
+	// subscribed while the job was live waits on it.
+	terminal chan struct{}
 
 	// Tracing: span is the job's root (admission→terminal). A local job
 	// also has queueSpan, the queue.wait child, and runSpan, the job.run
@@ -735,9 +740,10 @@ type liveJob struct {
 // ID returns the job's ID.
 func (j *Job) ID() string { return j.id }
 
-// Fingerprint returns the key the backend identifies the job's work
-// by.
-func (j *Job) Fingerprint() string { return j.fp }
+// KeyDigest returns the runner.KeyDigest of the key the backend
+// identifies the job's work by: the fingerprint of a kernel job, or
+// what the backend's TraceJob returned.
+func (j *Job) KeyDigest() string { return j.keyDigest }
 
 // TraceID returns the id of the job's trace.
 func (j *Job) TraceID() string { return j.traceID }
@@ -767,9 +773,10 @@ func (j *Job) Request() JobRequest {
 }
 
 // Release drops what only a live job uses: its request, its runner
-// job, its spans and its subscriber table. The backend calls it once
-// the job is terminal and it has read the job's spans for the last
-// time. A subscriber still attached has the terminal channel to go by.
+// job, its spans, its subscriber table and its terminal channel. The
+// backend calls it once the job is terminal and it has read the job's
+// spans for the last time. A subscriber still attached holds the
+// terminal channel subscribe returned.
 func (j *Job) Release() {
 	j.mu.Lock()
 	j.live = nil
@@ -897,7 +904,7 @@ func (j *Job) Finish(res stats.Results, err error, replica string, started time.
 		t.done.Add(1)
 	}
 	span.SetAttr("state", j.state)
-	close(j.terminal)
+	close(j.live.terminal)
 	j.mu.Unlock()
 	span.End()
 }
@@ -916,16 +923,16 @@ func (j *Job) broadcastLocked(ev Event) {
 }
 
 // subscribe returns the current state snapshot and, unless the job is
-// terminal, an event channel attached to it; withStatus puts the job's
-// status on the snapshot even when the job is not yet terminal. A
-// terminal job's snapshot is its last line, so it registers nothing
-// and the channel is nil.
-func (j *Job) subscribe(withStatus bool) (chan Event, Event) {
-	var ch chan Event
+// terminal, an event channel attached to it and the channel Finish
+// closes; withStatus puts the job's status on the snapshot even when
+// the job is not yet terminal. A terminal job's snapshot is its last
+// line, so it registers nothing and both channels are nil.
+func (j *Job) subscribe(withStatus bool) (ch chan Event, terminal <-chan struct{}, snap Event) {
 	j.mu.Lock()
-	snap := j.snapshotEventLocked()
+	snap = j.snapshotEventLocked()
 	if snap.Job == nil {
 		// Not terminal, so not released: Release follows Finish.
+		terminal = j.live.terminal
 		ch = make(chan Event, 32)
 		if j.live.subs == nil {
 			j.live.subs = make(map[chan Event]struct{})
@@ -937,7 +944,7 @@ func (j *Job) subscribe(withStatus bool) (chan Event, Event) {
 		}
 	}
 	j.mu.Unlock()
-	return ch, snap
+	return ch, terminal, snap
 }
 
 func (j *Job) unsubscribe(ch chan Event) {

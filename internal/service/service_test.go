@@ -12,9 +12,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +24,7 @@ import (
 
 	"clustervp/internal/config"
 	"clustervp/internal/core"
+	"clustervp/internal/obs"
 	"clustervp/internal/runner"
 	"clustervp/internal/stats"
 	"clustervp/internal/trace"
@@ -410,14 +413,13 @@ func TestRestartServesFromDiskCache(t *testing.T) {
 // subscriber in order.
 func TestEventsStreamProgress(t *testing.T) {
 	j := &Job{
-		srv:      &Server{},
-		tenant:   &tenantState{},
-		id:       "j-test",
-		state:    StateQueued,
-		terminal: make(chan struct{}),
-		live:     &liveJob{},
+		srv:    &Server{},
+		tenant: &tenantState{},
+		id:     "j-test",
+		state:  StateQueued,
+		live:   &liveJob{terminal: make(chan struct{})},
 	}
-	ch, snap := j.subscribe(false)
+	ch, terminal, snap := j.subscribe(false)
 	defer j.unsubscribe(ch)
 	if snap.State != StateQueued {
 		t.Fatalf("snapshot state %q, want queued", snap.State)
@@ -438,6 +440,11 @@ func TestEventsStreamProgress(t *testing.T) {
 	}
 	if got[1].IPC != 1.5 {
 		t.Errorf("progress IPC = %v, want 1.5", got[1].IPC)
+	}
+	select {
+	case <-terminal:
+	default:
+		t.Error("Finish left the subscriber's terminal channel open")
 	}
 	term := j.terminalEvent()
 	if term.State != StateDone || term.Cycles != 2000 || term.IPC != 1.5 {
@@ -648,5 +655,76 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 	// Unknown digest is a 400 at submission time.
 	if _, err := s.Submit(JobRequest{TraceDigest: "sha256:" + strings.Repeat("0", 64)}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("unknown digest err = %v, want ErrBadRequest", err)
+	}
+}
+
+// TestJobNamedByCacheFileDigest: a job's record, its span and its log
+// lines name its key by runner.KeyDigest, which is the stem of the
+// result-cache file the job's result was written to.
+func TestJobNamedByCacheFileDigest(t *testing.T) {
+	cacheDir := t.TempDir()
+	var buf strings.Builder
+	var mu sync.Mutex
+	s := newTestServer(t, func(o *Options) {
+		o.CacheDir = cacheDir
+		o.Run = stubResults
+		o.Logger = slog.New(slog.NewJSONHandler(lockedWriter{&mu, &buf}, nil))
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := JobRequest{Machine: config.MachineSpec{Clusters: "2"}, Kernel: "rawcaudio"}
+	st, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, s, st.ID)
+	doReq(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID, "", "")
+
+	cfg, err := req.Machine.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := runner.KeyDigest(runner.Job{Config: cfg, Kernel: req.Kernel}.Fingerprint())
+	if _, err := os.Stat(filepath.Join(cacheDir, digest+".cvr")); err != nil {
+		t.Errorf("no cache file named by the job's digest: %v", err)
+	}
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	if j.KeyDigest() != digest {
+		t.Errorf("the record names the job %q, want %q", j.KeyDigest(), digest)
+	}
+	var root obs.Span
+	for deadline := time.Now().Add(5 * time.Second); root.Name == "" && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, sp := range s.Spans().TraceSpans(st.TraceID) {
+			if sp.Name == "job "+st.ID {
+				root = sp
+			}
+		}
+	}
+	if got := root.Attrs["fingerprint"]; got != digest {
+		t.Errorf("the job span's fingerprint attribute is %q, want %q", got, digest)
+	}
+
+	mu.Lock()
+	logs := buf.String()
+	mu.Unlock()
+	named := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(logs), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if fp, ok := rec["fingerprint"]; ok {
+			named[rec["msg"].(string)] = true
+			if fp != digest {
+				t.Errorf("the %q log line has fingerprint %v, want %s", rec["msg"], fp, digest)
+			}
+		}
+	}
+	for _, msg := range []string{"job submitted", "job done", "http request"} {
+		if !named[msg] {
+			t.Errorf("no %q log line names the job's key:\n%s", msg, logs)
+		}
 	}
 }

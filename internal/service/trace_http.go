@@ -50,7 +50,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	ri := infoFrom(r.Context())
 	ri.jobID = j.id
-	ri.fp = j.fp
+	ri.fp = j.keyDigest
 	spans := append(s.spans.TraceSpans(j.traceID), s.be.JobSpans(r.Context(), j.traceID)...)
 	switch format := r.URL.Query().Get("format"); format {
 	case "chrome":
