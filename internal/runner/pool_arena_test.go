@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clustervp/internal/config"
@@ -148,22 +149,19 @@ func TestArenaFallbackToStreaming(t *testing.T) {
 		jobs, []stats.Results{coldSimulate(t, jobs[0])})
 }
 
-// TestOffModelTracesStream: a valid trace that breaks a fact the
-// in-memory form rebuilds instead of storing (a source value off the
-// register file, a PC off the previous next PC) must reach the
-// simulator through the stream path of openTraceSource, with room to
-// spare in the arena, and still match the cold reference.
+// TestOffModelTracesStream: a valid trace with a record that
+// re-executing the code does not give (tracetest.OffModel: a source
+// value, PC, next PC, taken bit, address or destination value off) must
+// reach the simulator through the stream path of openTraceSource, with
+// room to spare in the arena, and still match the cold reference.
 func TestOffModelTracesStream(t *testing.T) {
 	dir := t.TempDir()
-	for name, build := range map[string]func() ([]byte, error){
-		"source-value": tracetest.SourceOffModel,
-		"next-pc":      tracetest.PCOffModel,
-	} {
+	for name, build := range tracetest.OffModel {
 		data, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, name+".cvt")
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".cvt")
 		if err := os.WriteFile(path, data, 0o666); err != nil {
 			t.Fatal(err)
 		}

@@ -430,7 +430,7 @@ func (e *Engine) Snapshot() []Result {
 // DefaultArenaBudget bounds the process-wide decoded-trace arena every
 // default simulation replays through (grid engines, the clusterd
 // service, clustervp.RunTraceFile): distinct trace digests are decoded
-// into the columnar in-memory form until this many bytes are resident;
+// into the in-memory form until this many bytes are resident;
 // everything past the budget stays on the pipelined streaming path.
 const DefaultArenaBudget int64 = 256 << 20
 

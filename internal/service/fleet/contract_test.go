@@ -229,6 +229,9 @@ func TestHTTPContract(t *testing.T) {
 		{name: "invalid spec", method: "POST", path: "/v1/jobs", body: `{"kernel":"nosuch"}`, status: 400, compare: true},
 		{name: "invalid spec streamed", method: "POST", path: "/v1/jobs", body: `{"kernel":"nosuch"}`, headers: ndjson, status: 400, compare: true},
 		{name: "unknown field", method: "POST", path: "/v1/jobs", body: `{"machine":{"clusters":"2"},"kernal":"rawcaudio"}`, status: 400, compare: true},
+		{name: "second value", method: "POST", path: "/v1/jobs", body: submitBody + ` {"kernel":"cjpeg"}`, status: 400, compare: true},
+		{name: "trailing garbage", method: "POST", path: "/v1/grids", status: 400, compare: true,
+			body: `{"machines":[{"clusters":"2"}],"kernels":["cjpeg"]} x`},
 		{name: "empty grid", method: "POST", path: "/v1/grids", body: `{"machines":[],"kernels":["cjpeg"]}`, status: 400, compare: true},
 		{name: "oversized body", method: "POST", path: "/v1/jobs", body: oversized, status: 413, compare: true},
 		{name: "trace upload", method: "POST", path: "/v1/traces", body: "CVT", status: 501, compare: true},

@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -312,17 +313,32 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	// A misspelled field silently dropped would simulate with defaults
-	// and return plausible but wrong results; reject it instead, the
-	// way the CLI rejects unknown flag values.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(nil, r.Body, 1<<20), v); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			return fmt.Errorf("%w: body exceeds %d bytes", ErrPayloadTooLarge, maxErr.Limit)
 		}
 		return fmt.Errorf("%w: body: %v", ErrBadRequest, err)
+	}
+	return nil
+}
+
+// decodeStrict decodes the one JSON value in r into v. A misspelled
+// field silently dropped would run with defaults and give plausible but
+// wrong results, and a second value silently dropped would do the same
+// with whatever it asked for, so it rejects both, the way the CLI
+// rejects unknown flag values. Whitespace after the value is fine.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return fmt.Errorf("after the JSON value: %w", err)
 	}
 	return nil
 }

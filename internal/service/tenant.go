@@ -9,12 +9,11 @@ package service
 // no key and no quotas.
 
 import (
+	"bytes"
 	"crypto/subtle"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"sync/atomic"
 )
 
@@ -54,14 +53,13 @@ type tenantsFile struct {
 //	  {"name": "bob", "key": "bob-key-0001"}
 //	]}
 //
-// Unknown fields are rejected, like every other JSON surface of the
-// service: a misspelled quota knob silently defaulting to unlimited is
-// an outage, not a convenience.
+// Unknown fields and anything after the object but whitespace are
+// rejected, like on every other JSON surface of the service: a
+// misspelled quota knob silently defaulting to unlimited is an outage,
+// not a convenience, and so is a second object silently dropped.
 func ParseTenants(data []byte) ([]Tenant, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
 	var f tenantsFile
-	if err := dec.Decode(&f); err != nil {
+	if err := decodeStrict(bytes.NewReader(data), &f); err != nil {
 		return nil, fmt.Errorf("tenants file: %w", err)
 	}
 	if len(f.Tenants) == 0 {

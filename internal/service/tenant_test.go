@@ -6,6 +6,7 @@ package service
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestParseTenants(t *testing.T) {
 		{"name": "alice", "key": "alice-key-0001", "max_queued": 8, "max_in_flight": 16, "max_priority": 5},
 		{"name": "bob", "key": "bob-key-0001"}
 	]}`
-	ts, err := ParseTenants([]byte(good))
+	ts, err := ParseTenants([]byte(good + "\n\t "))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,6 +36,8 @@ func TestParseTenants(t *testing.T) {
 		{"dup key", `{"tenants": [{"name": "a", "key": "key-aaaaaaa"}, {"name": "b", "key": "key-aaaaaaa"}]}`, "already used"},
 		{"negative quota", `{"tenants": [{"name": "a", "key": "key-aaaaaaa", "max_queued": -1}]}`, ">= 0"},
 		{"unknown field", `{"tenants": [{"name": "a", "key": "key-aaaaaaa", "max_qeued": 3}]}`, "unknown field"},
+		{"trailing garbage", `{"tenants": [{"name": "a", "key": "key-aaaaaaa"}]} garbage`, "after the JSON value"},
+		{"second object", `{"tenants": [{"name": "a", "key": "key-aaaaaaa"}]} {"tenants": []}`, "a second JSON value"},
 	}
 	for _, tc := range bad {
 		if _, err := ParseTenants([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -100,4 +103,44 @@ func TestTenantAdmitLocked(t *testing.T) {
 	if _, _, ok := free.admitLocked(1000); !ok {
 		t.Error("unlimited tenant rejected an admission")
 	}
+}
+
+// FuzzParseTenants: parsing never panics; every accepted file declares
+// at least one tenant, with unique names and keys, keys of at least 8
+// characters, quotas >= 0 and no reserved name; and an accepted file
+// with bytes other than whitespace after it is rejected. Run it with
+//
+//	go test -fuzz=FuzzParseTenants ./internal/service
+//
+// The seed corpus in testdata/fuzz/FuzzParseTenants covers a valid
+// file with and without a trailing newline, a second object, trailing
+// garbage, duplicate names and keys, a short key, a negative quota, an
+// unknown field and the reserved name.
+func FuzzParseTenants(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ts, err := ParseTenants(data)
+		if err != nil {
+			return
+		}
+		if len(ts) == 0 {
+			t.Fatalf("%q accepted with no tenants", data)
+		}
+		names, keys := map[string]bool{}, map[string]bool{}
+		for _, tn := range ts {
+			switch {
+			case tn.Name == "" || tn.Name == anonymousTenant || names[tn.Name]:
+				t.Fatalf("%q accepted with tenant name %q", data, tn.Name)
+			case len(tn.Key) < 8 || keys[tn.Key]:
+				t.Fatalf("%q accepted with key %q", data, tn.Key)
+			case tn.MaxQueued < 0 || tn.MaxInFlight < 0 || tn.MaxPriority < 0:
+				t.Fatalf("%q accepted with a negative quota: %+v", data, tn)
+			}
+			names[tn.Name], keys[tn.Key] = true, true
+		}
+		for _, tail := range []string{"x", "{}", "0", string(data)} {
+			if _, err := ParseTenants(append(slices.Clip(data), "\n"+tail...)); err == nil {
+				t.Fatalf("%q accepted with %q after it", data, tail)
+			}
+		}
+	})
 }

@@ -8,11 +8,7 @@ type Column struct {
 
 // Columns returns t's record columns.
 func Columns(t *MemTrace) []Column {
-	return []Column{
-		{"pc", len(t.pc), cap(t.pc), 4},
-		{"taken", len(t.taken), cap(t.taken), 8},
-		{"vals", len(t.vals), cap(t.vals), 8},
-	}
+	return []Column{{"loads", len(t.loads), cap(t.loads), 8}}
 }
 
 // FixedBytes is the arena charge for t's name and static code.

@@ -26,9 +26,9 @@ import (
 // The seed corpus in testdata/fuzz/FuzzTraceReader covers the
 // structured cases mutation starts from: a pristine small trace, a
 // header-only file, truncations, and bit flips in each region. The
-// seeds added below add two valid traces the in-memory form must
-// refuse: a source value off the register file and a PC off the
-// previous record's next PC.
+// seeds added below add the valid traces the in-memory form must
+// refuse, each off the re-executed record in one field
+// (tracetest.OffModel).
 func FuzzTraceReader(f *testing.F) {
 	k, err := workload.ByName("rawcaudio")
 	if err != nil {
@@ -68,7 +68,7 @@ func FuzzTraceReader(f *testing.F) {
 	// A huge declared header length with no data behind it: the decoder
 	// must reject it by limit, not allocate it.
 	f.Add([]byte{'C', 'V', 'T', 'R', 1, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	for _, off := range []func() ([]byte, error){tracetest.SourceOffModel, tracetest.PCOffModel} {
+	for _, off := range tracetest.OffModel {
 		data, err := off()
 		if err != nil {
 			f.Fatal(err)

@@ -52,7 +52,7 @@ func (d *DynInst) Info() isa.Info { return isa.InfoFor(d.Inst.Op) }
 type Executor struct {
 	prog *program.Program
 	mem  *Memory
-	regs [isa.NumRegs]uint64
+	regs regFile
 	pc   int
 	seq  uint64
 	done bool
@@ -180,169 +180,211 @@ func (e *Executor) Next(d *DynInst) bool {
 		e.err = fmt.Errorf("trace: pc %d out of range", e.pc)
 		return false
 	}
-	in := e.prog.Code[e.pc]
+	in := &e.prog.Code[e.pc]
 	if in.Op == isa.HALT {
 		e.done = true
 		return false
 	}
 
-	*d = DynInst{Seq: e.seq, PC: e.pc, Inst: in}
+	d.Seq = e.seq
 	e.seq++
-
-	srcs := in.Sources()
-	for i, r := range srcs {
-		d.SrcVal[i] = e.Reg(r)
+	load, store, ok := eval(d, e.pc, in, &e.regs)
+	switch {
+	case !ok:
+		e.err = fmt.Errorf("trace: pc %d: unimplemented opcode %v", e.pc, in.Op)
+		return false
+	case load:
+		if in.Op == isa.LB {
+			d.DstVal = uint64(int64(int8(e.mem.Load8(d.Addr))))
+		} else {
+			d.DstVal = e.mem.Load64(d.Addr)
+		}
+		e.regs.write(in.Rd, d.DstVal)
+	case store:
+		if in.Op == isa.SB {
+			e.mem.Store8(d.Addr, byte(d.SrcVal[1]))
+		} else {
+			e.mem.Store64(d.Addr, d.SrcVal[1])
+		}
 	}
+	e.pc = d.NextPC
+	return true
+}
 
-	next := e.pc + 1
-	a := int64(d.SrcVal[0])
-	bv := int64(0)
-	if len(srcs) > 1 {
-		bv = int64(d.SrcVal[1])
+// regFile is the architectural register file, 64 raw values. It starts
+// at zero, and write discards R0 and invalid registers, so R0 reads as
+// zero.
+type regFile [isa.NumRegs]uint64
+
+// read returns register r. The mask changes no valid index: it only
+// lets the compiler drop the bounds check.
+func (rf *regFile) read(r isa.RegID) uint64 { return rf[r&(isa.NumRegs-1)] }
+
+func (rf *regFile) write(rd isa.RegID, v uint64) {
+	if rd != isa.R0 && rd < isa.NumRegs {
+		rf[rd] = v
 	}
-	var result uint64
-	wrote := false
+}
 
+// infos is isa's opcode table, held here so that eval reads an entry in
+// place: isa.InfoFor returns a copy, which goes through the stack.
+var infos = func() (t [isa.NumOpcodes]isa.Info) {
+	for op := range t {
+		t[op] = isa.InfoFor(isa.Opcode(op))
+	}
+	return t
+}()
+
+// eval is the instruction semantics, the one definition Executor and
+// Cursor share. Given the record's PC and instruction, it sets every
+// field of d but Seq from rf: the source values (zero past the opcode's
+// sources), a memory op's address, the taken bit, the next PC and every
+// destination value but a load's (zero), which it also writes to rf. It
+// does not touch memory: it reports a load, whose value the caller
+// stores in d.DstVal and writes to rf, and a store, which the caller
+// performs. ok is false for an opcode eval cannot execute (HALT, or one
+// out of range, which leaves d as it was).
+//
+// eval reads the instruction through in and the opcode table through a
+// pointer, and sets d's fields one by one: a copy of any of these
+// structs goes through the stack, where reading a field back from a
+// wider store can stall the load.
+func eval(d *DynInst, pc int, in *isa.Inst, rf *regFile) (load, store, ok bool) {
+	if int(in.Op) >= isa.NumOpcodes {
+		return false, false, false
+	}
+	info := &infos[in.Op]
+	var sa, sb uint64
+	switch info.NumSrc {
+	case 2:
+		sb = rf.read(in.Rb)
+		fallthrough
+	case 1:
+		sa = rf.read(in.Ra)
+	}
+	d.PC, d.Inst = pc, *in
+	d.SrcVal[0], d.SrcVal[1] = sa, sb
+	a, b := int64(sa), int64(sb)
+	next := pc + 1
+	var v, addr uint64
+	taken := false
+	ok = true
 	switch in.Op {
 	case isa.NOP:
 	case isa.ADD:
-		result, wrote = uint64(a+bv), true
+		v = uint64(a + b)
 	case isa.SUB:
-		result, wrote = uint64(a-bv), true
+		v = uint64(a - b)
 	case isa.AND:
-		result, wrote = uint64(a&bv), true
+		v = uint64(a & b)
 	case isa.OR:
-		result, wrote = uint64(a|bv), true
+		v = uint64(a | b)
 	case isa.XOR:
-		result, wrote = uint64(a^bv), true
+		v = uint64(a ^ b)
 	case isa.SLL:
-		result, wrote = uint64(a<<(uint64(bv)&63)), true
+		v = uint64(a << (uint64(b) & 63))
 	case isa.SRL:
-		result, wrote = uint64(a)>>(uint64(bv)&63), true
+		v = uint64(a) >> (uint64(b) & 63)
 	case isa.SRA:
-		result, wrote = uint64(a>>(uint64(bv)&63)), true
+		v = uint64(a >> (uint64(b) & 63))
 	case isa.SLT:
-		result, wrote = boolVal(a < bv), true
+		v = boolVal(a < b)
 	case isa.SLTU:
-		result, wrote = boolVal(uint64(a) < uint64(bv)), true
+		v = boolVal(uint64(a) < uint64(b))
 	case isa.ADDI:
-		result, wrote = uint64(a+in.Imm), true
+		v = uint64(a + in.Imm)
 	case isa.ANDI:
-		result, wrote = uint64(a&in.Imm), true
+		v = uint64(a & in.Imm)
 	case isa.ORI:
-		result, wrote = uint64(a|in.Imm), true
+		v = uint64(a | in.Imm)
 	case isa.XORI:
-		result, wrote = uint64(a^in.Imm), true
+		v = uint64(a ^ in.Imm)
 	case isa.SLLI:
-		result, wrote = uint64(a<<(uint64(in.Imm)&63)), true
+		v = uint64(a << (uint64(in.Imm) & 63))
 	case isa.SRLI:
-		result, wrote = uint64(a)>>(uint64(in.Imm)&63), true
+		v = uint64(a) >> (uint64(in.Imm) & 63)
 	case isa.SRAI:
-		result, wrote = uint64(a>>(uint64(in.Imm)&63)), true
+		v = uint64(a >> (uint64(in.Imm) & 63))
 	case isa.SLTI:
-		result, wrote = boolVal(a < in.Imm), true
+		v = boolVal(a < in.Imm)
 	case isa.LI:
-		result, wrote = uint64(in.Imm), true
+		v = uint64(in.Imm)
 	case isa.MUL:
-		result, wrote = uint64(a*bv), true
+		v = uint64(a * b)
 	case isa.DIV:
-		if bv == 0 {
-			result = 0
-		} else {
-			result = uint64(a / bv)
+		if b != 0 {
+			v = uint64(a / b)
 		}
-		wrote = true
 	case isa.REM:
-		if bv == 0 {
-			result = uint64(a)
-		} else {
-			result = uint64(a % bv)
+		v = uint64(a)
+		if b != 0 {
+			v = uint64(a % b)
 		}
-		wrote = true
-	case isa.LW, isa.FLW:
-		d.Addr = uint64(a + in.Imm)
-		result, wrote = e.mem.Load64(d.Addr), true
-	case isa.LB:
-		d.Addr = uint64(a + in.Imm)
-		result, wrote = uint64(int64(int8(e.mem.Load8(d.Addr)))), true
-	case isa.SW, isa.FSW:
-		d.Addr = uint64(a + in.Imm)
-		e.mem.Store64(d.Addr, uint64(bv))
-	case isa.SB:
-		d.Addr = uint64(a + in.Imm)
-		e.mem.Store8(d.Addr, byte(bv))
+	case isa.LW, isa.FLW, isa.LB, isa.SW, isa.FSW, isa.SB:
+		addr = uint64(a + in.Imm)
 	case isa.BEQ:
-		d.Taken = a == bv
+		taken = a == b
 	case isa.BNE:
-		d.Taken = a != bv
+		taken = a != b
 	case isa.BLT:
-		d.Taken = a < bv
+		taken = a < b
 	case isa.BGE:
-		d.Taken = a >= bv
+		taken = a >= b
 	case isa.BLTU:
-		d.Taken = uint64(a) < uint64(bv)
+		taken = uint64(a) < uint64(b)
 	case isa.BGEU:
-		d.Taken = uint64(a) >= uint64(bv)
+		taken = uint64(a) >= uint64(b)
 	case isa.J:
-		d.Taken = true
+		taken = true
 		next = in.Target
 	case isa.JAL:
-		d.Taken = true
-		result, wrote = uint64(e.pc+1), true
+		taken = true
+		v = uint64(pc + 1)
 		next = in.Target
 	case isa.JR:
-		d.Taken = true
+		taken = true
 		next = int(uint64(a))
 	case isa.FADD:
-		result, wrote = f2b(b2f(uint64(a))+b2f(uint64(bv))), true
+		v = f2b(b2f(uint64(a)) + b2f(uint64(b)))
 	case isa.FSUB:
-		result, wrote = f2b(b2f(uint64(a))-b2f(uint64(bv))), true
+		v = f2b(b2f(uint64(a)) - b2f(uint64(b)))
 	case isa.FMUL:
-		result, wrote = f2b(b2f(uint64(a))*b2f(uint64(bv))), true
+		v = f2b(b2f(uint64(a)) * b2f(uint64(b)))
 	case isa.FDIV:
-		den := b2f(uint64(bv))
-		if den == 0 {
-			result = f2b(0)
+		if den := b2f(uint64(b)); den == 0 {
+			v = f2b(0)
 		} else {
-			result = f2b(b2f(uint64(a)) / den)
+			v = f2b(b2f(uint64(a)) / den)
 		}
-		wrote = true
 	case isa.FNEG:
-		result, wrote = f2b(-b2f(uint64(a))), true
+		v = f2b(-b2f(uint64(a)))
 	case isa.FABS:
-		result, wrote = f2b(math.Abs(b2f(uint64(a)))), true
+		v = f2b(math.Abs(b2f(uint64(a))))
 	case isa.FMOV:
-		result, wrote = uint64(a), true
+		v = uint64(a)
 	case isa.FLI:
-		result, wrote = f2b(in.FImm), true
+		v = f2b(in.FImm)
 	case isa.CVTIF:
-		result, wrote = f2b(float64(a)), true
+		v = f2b(float64(a))
 	case isa.CVTFI:
-		result, wrote = uint64(int64(b2f(uint64(a)))), true
+		v = uint64(int64(b2f(uint64(a))))
 	case isa.FLT:
-		result, wrote = boolVal(b2f(uint64(a)) < b2f(uint64(bv))), true
+		v = boolVal(b2f(uint64(a)) < b2f(uint64(b)))
 	case isa.FLE:
-		result, wrote = boolVal(b2f(uint64(a)) <= b2f(uint64(bv))), true
+		v = boolVal(b2f(uint64(a)) <= b2f(uint64(b)))
 	case isa.FEQ:
-		result, wrote = boolVal(b2f(uint64(a)) == b2f(uint64(bv))), true
+		v = boolVal(b2f(uint64(a)) == b2f(uint64(b)))
 	default:
-		e.err = fmt.Errorf("trace: pc %d: unimplemented opcode %v", e.pc, in.Op)
-		return false
+		ok = false
 	}
-
-	info := isa.InfoFor(in.Op)
-	if info.IsCondBranch && d.Taken {
+	if info.IsCondBranch && taken {
 		next = in.Target
 	}
-	if wrote {
-		d.DstVal = result
-		if in.Rd != isa.R0 && in.Rd.Valid() {
-			e.regs[in.Rd] = result
-		}
+	d.NextPC, d.Taken, d.DstVal, d.Addr = next, taken, v, addr
+	if info.HasDest && !info.IsLoad {
+		rf.write(in.Rd, v)
 	}
-	d.NextPC = next
-	e.pc = next
-	return true
+	return info.IsLoad, info.IsStore, ok
 }
 
 // Run executes the whole program (up to limit dynamic instructions,

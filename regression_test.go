@@ -266,7 +266,7 @@ func TestTraceRoundTripGolden(t *testing.T) {
 // arena-then-stream path) must each produce byte-identical
 // stats.Results to a cold Sim over the synchronous streaming Reader.
 // The reference is built here and shares no pool, arena or decoding
-// state with the paths under test, so agreement means the columnar
+// state with the paths under test, so agreement means the in-memory
 // re-encoding and the batch handoff both preserve every field the
 // timing model observes.
 func TestReplayModesArenaAndPipelinedGolden(t *testing.T) {
