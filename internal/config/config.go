@@ -408,6 +408,13 @@ func (c Config) SpecString() string { return SpecsString(c.Clusters) }
 // silently dropped from the masks rather than mis-simulated loudly.
 const MaxClusters = 32
 
+// MaxRenameCycles bounds the rename/steer stage depth. The paper
+// evaluates 1 and 2 cycles (§3.3); a deeper stage only delays dispatch,
+// and one deep enough never dispatches at all: with no instruction in
+// the ROB the deadlock watchdog cannot fire, and the job spins until its
+// whole cycle budget is spent.
+const MaxRenameCycles = 64
+
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
 	n := len(c.Clusters)
@@ -431,8 +438,8 @@ func (c Config) Validate() error {
 	if c.FetchWidth < 1 || c.DecodeWidth < 1 || c.RetireWidth < 1 || c.ROBSize < 1 {
 		return fmt.Errorf("config %s: pipeline widths must be positive", c.Name)
 	}
-	if c.RenameCycles < 1 {
-		return fmt.Errorf("config %s: rename cycles must be >= 1", c.Name)
+	if c.RenameCycles < 1 || c.RenameCycles > MaxRenameCycles {
+		return fmt.Errorf("config %s: rename cycles %d outside [1, %d]", c.Name, c.RenameCycles, MaxRenameCycles)
 	}
 	if err := c.Interconnect().Validate(); err != nil {
 		return fmt.Errorf("config %s: %w", c.Name, err)

@@ -94,6 +94,7 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 		mk(func(c *Config) { c.Clusters[3].BypassLatency = -2 }),
 		mk(func(c *Config) { c.RetireWidth = 0 }),
 		mk(func(c *Config) { c.RenameCycles = 0 }),
+		mk(func(c *Config) { c.RenameCycles = MaxRenameCycles + 1 }),
 		mk(func(c *Config) { c.CommLatency = 0 }),
 		mk(func(c *Config) { c.CommPaths = -1 }),
 		mk(func(c *Config) { c.DCachePorts = 0 }),

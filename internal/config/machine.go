@@ -76,6 +76,9 @@ func (m MachineSpec) Build() (Config, error) {
 			"(comm_latency=%d comm_paths=%d vp_table_entries=%d rename_cycles=%d max_cycles=%d)",
 			m.CommLatency, m.CommPaths, m.VPTableEntries, m.RenameCycles, m.MaxCycles)
 	}
+	if m.RenameCycles > MaxRenameCycles {
+		return Config{}, fmt.Errorf("config: rename_cycles %d exceeds %d", m.RenameCycles, MaxRenameCycles)
+	}
 	clusters := m.Clusters
 	if strings.TrimSpace(clusters) == "" {
 		clusters = "4"

@@ -135,6 +135,10 @@ func TestMachineSpecErrorsNameTheField(t *testing.T) {
 		{MachineSpec{CommPaths: -2}, ">= 0"},
 		{MachineSpec{RenameCycles: -1}, ">= 0"},
 		{MachineSpec{VPTableEntries: -8}, ">= 0"},
+		// A stage deep enough never dispatches, and the watchdog, which
+		// needs an instruction in the ROB, cannot stop it.
+		{MachineSpec{RenameCycles: 1 << 40}, "rename_cycles"},
+		{MachineSpec{RenameCycles: MaxRenameCycles + 1}, "rename_cycles"},
 	}
 	for _, tc := range cases {
 		_, err := tc.spec.Build()

@@ -57,7 +57,7 @@ type entry struct {
 	src          [2]source
 	hasDest      bool
 	destLog      isa.RegID
-	freeAtCommit []int // per-cluster registers to free when this writer commits
+	freeAtCommit uint32 // clusters with a register to free when this writer commits
 
 	// Timing.
 	st           state

@@ -392,12 +392,7 @@ func (s *Sim) commit(now int64) {
 			if m.Valid && m.Provider.e == e && m.Provider.seq == e.seq {
 				s.table.SetProvider(e.destLog, field, eref{})
 			}
-			if e.freeAtCommit != nil {
-				// The table reclaims the slice; drop our reference so a
-				// recycled ring slot can never resurrect it.
-				s.table.ReleaseAtCommit(e.freeAtCommit)
-				e.freeAtCommit = nil
-			}
+			s.table.ReleaseAtCommit(e.freeAtCommit)
 		}
 		if e.isStore {
 			s.removeActiveStore(e.seq)

@@ -225,13 +225,6 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 	} else {
 		s.table = rename.New[eref](cfg.PhysRegsPerCluster())
 	}
-	// In-flight writers are bounded by ROB occupancy; stocking the
-	// rename table's count-slice pool to that bound up front keeps
-	// steady-state renaming at zero allocations (the pool otherwise
-	// converges only as rename bursts set new high-water marks).
-	// Prewarm tops up, which also replenishes slices a previous
-	// aborted run left attached to in-flight ring entries.
-	s.table.Prewarm(cfg.ROBSize)
 
 	if len(s.iqCount) != nc {
 		s.iqCount = make([]int, nc)

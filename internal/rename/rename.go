@@ -73,10 +73,6 @@ type Table[P any] struct {
 	mask     []uint32     // per-register bitmask of valid fields
 	home     []int        // cluster of the current writer
 	free     []*FreeList
-	// spare recycles the per-writer freeAtCommit count slices between
-	// Rename and ReleaseAtCommit, so steady-state renaming allocates
-	// nothing (the pool is bounded by the number of in-flight writers).
-	spare [][]int
 }
 
 // New builds a map table with one field column and one free list per
@@ -112,28 +108,11 @@ func New[P any](physRegs []int) *Table[P] {
 	return t
 }
 
-// Prewarm tops the spare pool up to n freeAtCommit slices. The pool
-// otherwise grows lazily to the high-water mark of in-flight writers,
-// which can take arbitrarily long to converge (a rename burst deep into
-// a run still allocates); callers that know a hard bound — the timing
-// core's ROB size bounds in-flight writers — can pin steady-state
-// renaming to exactly zero allocations. Top-up semantics (rather than
-// replace) make re-prewarming a reused table nearly free while
-// replenishing slices lost to runs that ended with writers in flight.
-func (t *Table[P]) Prewarm(n int) {
-	if t.spare == nil {
-		t.spare = make([][]int, 0, 2*n)
-	}
-	for len(t.spare) < n {
-		t.spare = append(t.spare, make([]int, t.clusters))
-	}
-}
-
 // Reset rewinds the table to its freshly constructed state for a new
-// run, reusing the fields/mask/home arrays, the FreeList objects, and
-// the spare pool. physRegs must have the same cluster count the table
-// was built with (a shape change requires a new table); Reset panics
-// otherwise, as New would.
+// run, reusing the fields/mask/home arrays and the FreeList objects.
+// physRegs must have the same cluster count the table was built with
+// (a shape change requires a new table); Reset panics otherwise, as New
+// would.
 func (t *Table[P]) Reset(physRegs []int) {
 	if len(physRegs) != t.clusters {
 		panic(fmt.Sprintf("rename: Reset with %d clusters on a %d-cluster table", len(physRegs), t.clusters))
@@ -177,31 +156,22 @@ func (t *Table[P]) CanAlloc(c, n int) bool { return t.free[c].Free() >= n }
 
 // Rename installs a new writer of r in cluster c with provider p. It
 // allocates one physical register in c, invalidates every other field,
-// and returns the number of physical registers (old mappings, across all
-// clusters) that must be freed in each cluster when this writer commits.
-// ok is false — and nothing changes — when c has no free register.
-func (t *Table[P]) Rename(r isa.RegID, c int, p P) (freeAtCommit []int, ok bool) {
+// and returns the clusters of the old mapping generation as a mask: a
+// logical register holds at most one mapping per cluster, so each set
+// bit is one physical register to free when this writer commits. ok is
+// false — and nothing changes — when c has no free register.
+func (t *Table[P]) Rename(r isa.RegID, c int, p P) (freeAtCommit uint32, ok bool) {
 	if r == isa.R0 {
 		// R0 is hardwired; writers are dropped at decode.
-		return nil, true
+		return 0, true
 	}
 	if !t.free[c].Alloc() {
-		return nil, false
+		return 0, false
 	}
-	if n := len(t.spare); n > 0 {
-		freeAtCommit = t.spare[n-1]
-		t.spare = t.spare[:n-1]
-		for i := range freeAtCommit {
-			freeAtCommit[i] = 0
-		}
-	} else {
-		freeAtCommit = make([]int, t.clusters)
-	}
+	freeAtCommit = t.mask[r]
 	row := t.fields[int(r)*t.clusters : int(r+1)*t.clusters]
-	for m := t.mask[r]; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros32(m)
-		freeAtCommit[i]++
-		row[i] = Mapping[P]{}
+	for m := freeAtCommit; m != 0; m &= m - 1 {
+		row[bits.TrailingZeros32(m)] = Mapping[P]{}
 	}
 	row[c] = Mapping[P]{Valid: true, Provider: p}
 	t.mask[r] = 1 << uint(c)
@@ -237,13 +207,10 @@ func (t *Table[P]) SetProvider(r isa.RegID, c int, p P) {
 }
 
 // ReleaseAtCommit returns the registers of a dead mapping generation to
-// their free lists; counts is the slice returned by Rename, which the
-// table reclaims for reuse — the caller must not touch it afterwards.
-func (t *Table[P]) ReleaseAtCommit(counts []int) {
-	for c, n := range counts {
-		if n > 0 {
-			t.free[c].Release(n)
-		}
+// their free lists: one in each cluster of mask, the mask Rename
+// returned.
+func (t *Table[P]) ReleaseAtCommit(mask uint32) {
+	for ; mask != 0; mask &= mask - 1 {
+		t.free[bits.TrailingZeros32(mask)].Release(1)
 	}
-	t.spare = append(t.spare, counts)
 }

@@ -2,16 +2,13 @@ package runner
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"clustervp/internal/config"
 	"clustervp/internal/core"
 	"clustervp/internal/stats"
 	"clustervp/internal/trace"
-	"clustervp/internal/trace/tracetest"
 	"clustervp/internal/workload"
 )
 
@@ -147,39 +144,6 @@ func TestArenaFallbackToStreaming(t *testing.T) {
 	}
 	checkAgainstCold(t, "tiny arena", Options{Workers: 8, Run: withArena(trace.NewArena(1))},
 		jobs, []stats.Results{coldSimulate(t, jobs[0])})
-}
-
-// TestOffModelTracesStream: a valid trace with a record that
-// re-executing the code does not give (tracetest.OffModel: a source
-// value, PC, next PC, taken bit, address or destination value off) must
-// reach the simulator through the stream path of openTraceSource, with
-// room to spare in the arena, and still match the cold reference.
-func TestOffModelTracesStream(t *testing.T) {
-	dir := t.TempDir()
-	for name, build := range tracetest.OffModel {
-		data, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".cvt")
-		if err := os.WriteFile(path, data, 0o666); err != nil {
-			t.Fatal(err)
-		}
-		arena := trace.NewArena(DefaultArenaBudget)
-		_, _, mode, closeFn, err := openTraceSource(path, arena)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if closeFn != nil {
-			closeFn()
-		}
-		if mode != SourceStream {
-			t.Errorf("%s: source = %s, want %s", name, mode, SourceStream)
-		}
-		job := Job{Config: config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), Trace: path}
-		checkAgainstCold(t, name, Options{Workers: 1, Run: withArena(arena)},
-			[]Job{job}, []stats.Results{coldSimulate(t, job)})
-	}
 }
 
 // TestMaterializeTracesVerifyPoolDigest: a corrupt or truncated

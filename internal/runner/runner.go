@@ -439,9 +439,9 @@ var defaultArena = trace.NewArena(DefaultArenaBudget)
 // openTraceSource resolves the replay Source for a .cvt file. In order
 // of preference: a Cursor over the arena-resident decoded form (decoded
 // once per distinct content digest, shared read-only by every job), a
-// fresh decode admitted to the arena, or — when the arena is full, or
-// the trace does not fit or has no in-memory form — a pipelined
-// streaming Reader that overlaps decode with simulation. All three
+// fresh decode admitted to the arena, or — when the arena is full or
+// the trace does not fit its remaining budget (ErrNoMemForm) — a
+// pipelined streaming Reader that overlaps decode with simulation. All three
 // yield byte-identical record streams. It returns the source, the
 // trace's header name, the materialization mode ("arena", "decode" or
 // "stream" — span attribute material for the tracing layer), and a
@@ -468,7 +468,7 @@ func openTraceSource(path string, arena *trace.Arena) (trace.Source, string, str
 		if derr != nil && !errors.Is(derr, trace.ErrNoMemForm) {
 			return nil, "", "", nil, derr
 		}
-		// Over budget or no in-memory form: stream instead.
+		// Over budget: stream instead.
 	}
 	fr, err := trace.OpenFile(path)
 	if err != nil {

@@ -203,6 +203,9 @@ func TestHTTPContract(t *testing.T) {
 		// last compares only the final NDJSON line: the lines before it
 		// race the job's progress.
 		last bool
+		// code, when set, is the error envelope's code every deployment
+		// must answer.
+		code string
 	}
 	steps := []step{
 		{name: "healthz", method: "GET", path: "/v1/healthz", status: 200},
@@ -232,6 +235,10 @@ func TestHTTPContract(t *testing.T) {
 		{name: "second value", method: "POST", path: "/v1/jobs", body: submitBody + ` {"kernel":"cjpeg"}`, status: 400, compare: true},
 		{name: "trailing garbage", method: "POST", path: "/v1/grids", status: 400, compare: true,
 			body: `{"machines":[{"clusters":"2"}],"kernels":["cjpeg"]} x`},
+		{name: "rename too deep", method: "POST", path: "/v1/jobs", status: 400, compare: true, code: service.CodeInvalidSpec,
+			body: `{"machine":{"clusters":"2","rename_cycles":1099511627776},"kernel":"rawcaudio"}`},
+		{name: "uppercase digest", method: "POST", path: "/v1/jobs", status: 400, compare: true, code: service.CodeInvalidSpec,
+			body: `{"machine":{"clusters":"2"},"trace_digest":"sha256:` + strings.Repeat("AB", 32) + `"}`},
 		{name: "empty grid", method: "POST", path: "/v1/grids", body: `{"machines":[],"kernels":["cjpeg"]}`, status: 400, compare: true},
 		{name: "oversized body", method: "POST", path: "/v1/jobs", body: oversized, status: 413, compare: true},
 		{name: "trace upload", method: "POST", path: "/v1/traces", body: "CVT", status: 501, compare: true},
@@ -269,6 +276,12 @@ func TestHTTPContract(t *testing.T) {
 				}
 				if retry := resp.Header.Get("Retry-After"); (retry != "") != (st.status == http.StatusServiceUnavailable) {
 					t.Errorf("%s: Retry-After = %q on a %d", d.name, retry, st.status)
+				}
+				if st.code != "" {
+					var env struct{ Error struct{ Code string } }
+					if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != st.code {
+						t.Errorf("%s: error code %q (%v), want %q", d.name, env.Error.Code, err, st.code)
+					}
 				}
 				record(t, refs[i], st.name, d.url, body)
 				if !st.compare {

@@ -395,6 +395,11 @@ func (s *Server) buildJob(req JobRequest) (runner.Job, string, error) {
 	case req.TraceDigest != "" && req.Kernel != "":
 		return runner.Job{}, "", fmt.Errorf("%w: kernel and trace_digest are mutually exclusive", ErrBadRequest)
 	case req.TraceDigest != "":
+		// Checked here, not only by the store, so that a coordinator
+		// refuses a digest a replica would: one content, one spelling.
+		if _, err := trace.ParseDigest(req.TraceDigest); err != nil {
+			return runner.Job{}, "", fmt.Errorf("%w: trace_digest: %v", ErrBadRequest, err)
+		}
 		return s.be.TraceJob(cfg, req.TraceDigest)
 	case req.Kernel != "":
 		if _, err := workload.ByName(req.Kernel); err != nil {

@@ -614,12 +614,16 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 		t.Fatalf("upload = %d %+v", resp.StatusCode, up)
 	}
 
-	// Corrupt uploads are rejected: a truncated trace, and one with
-	// bytes after its end block, which would otherwise be stored under
-	// a second digest.
+	// Corrupt uploads are rejected: a truncated trace, one with bytes
+	// after its end block, which would otherwise be stored under a
+	// second digest, and a file of format version 1, which no reader
+	// decodes.
+	v1 := append([]byte(nil), data...)
+	v1[len(trace.Magic)] = 1
 	for name, bad := range map[string][]byte{
 		"truncated":      data[:len(data)/2],
 		"trailing bytes": append(append([]byte(nil), data...), 0),
+		"version 1":      v1,
 	} {
 		cresp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(bad))
 		if err != nil {
@@ -650,6 +654,12 @@ func TestTraceUploadAndReplayJob(t *testing.T) {
 	local, _ := json.Marshal(want)
 	if !bytes.Equal(got, local) {
 		t.Errorf("trace-replay results differ from local replay:\nserved %s\nlocal  %s", got, local)
+	}
+
+	// The uppercase spelling of the digest is refused, naming the
+	// field: the store names its files in lowercase.
+	if _, err := s.Submit(JobRequest{TraceDigest: trace.DigestPrefix + strings.ToUpper(strings.TrimPrefix(up.Digest, trace.DigestPrefix))}); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "trace_digest") {
+		t.Errorf("uppercase digest err = %v, want ErrBadRequest naming trace_digest", err)
 	}
 
 	// Unknown digest is a 400 at submission time.

@@ -1,5 +1,8 @@
 package trace
 
+// MaxRecords is the most records a trace may hold.
+const MaxRecords = maxRecords
+
 // Column is one column of a MemTrace as the layout test sees it.
 type Column struct {
 	Name                string
@@ -8,7 +11,7 @@ type Column struct {
 
 // Columns returns t's record columns.
 func Columns(t *MemTrace) []Column {
-	return []Column{{"loads", len(t.loads), cap(t.loads), 8}}
+	return []Column{{"loads", len(t.col), cap(t.col), 1}}
 }
 
 // FixedBytes is the arena charge for t's name and static code.

@@ -29,10 +29,10 @@ type FileWriter struct {
 	done bool
 }
 
-// CreateFile opens a FileWriter for path, writing the container header
-// immediately. Call Write for each record, then exactly one of Commit
-// (publish) or Abort (discard); Abort after Commit is a no-op, so
-// `defer fw.Abort()` is the idiomatic cleanup.
+// CreateFile opens a FileWriter for path; the container header goes
+// out with the first record. Call Write for each record, then exactly
+// one of Commit (publish) or Abort (discard); Abort after Commit is a
+// no-op, so `defer fw.Abort()` is the idiomatic cleanup.
 func CreateFile(path, name string, code []isa.Inst) (*FileWriter, error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".cvt-*")
 	if err != nil {

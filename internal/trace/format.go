@@ -1,39 +1,38 @@
 package trace
 
-// This file defines the .cvt ("clustervp trace") binary container: a
-// versioned, CRC-checked, varint-delta-encoded stream of DynInst
-// records that replays bit-for-bit through the timing simulator.
+// This file defines the .cvt ("clustervp trace") binary container: the
+// static code of a program, its entry PC, its record count and a
+// CRC-checked column of the values its loads returned. Nothing else is
+// stored, because nothing else needs to be: a record's PC is the
+// previous record's next PC, and every other field but a load's value
+// follows from the code and a register file that starts at zero (eval).
+// The Writer re-executes each record it is given and refuses one that
+// differs; the Reader re-executes each record it yields.
 //
 // Layout (all integers are unsigned LEB128 varints unless noted; "zz"
 // marks zigzag-encoded signed varints; CRCs are IEEE CRC-32 of the
 // preceding payload, little-endian fixed 4 bytes):
 //
-//	file   := magic "CVTR" | version byte | header | block* | end
+//	file   := magic "CVTR" | version byte (2) | header | block* | end
 //	header := payloadLen | payload | crc32
-//	          payload := nameLen | name | codeLen | inst*
+//	          payload := nameLen | name | codeLen | inst* | entry
 //	inst   := op | rd byte | ra byte | rb byte | zz imm | fimmBits | zz target
 //	block  := recordCount (>0) | payloadLen | payload | crc32
-//	          payload := record*
+//	          payload := zz loadDelta*   (one per load among the block's records)
 //	end    := 0 | totalRecords | crc32 (over the totalRecords varint)
 //
-//	record := flags byte | zz pcDelta | zz nextDelta |
-//	          zz srcDelta{0..nsrc} | [zz dstDelta] | [zz addrDelta]
-//
-// The flags byte packs taken (bit 0), hasDst (bit 1), hasAddr (bit 2)
-// and nsrc (bits 3-4). Deltas are taken against decoder-reconstructible
-// state: pcDelta against the previous record's PC, nextDelta against
-// PC+1 (zero for straight-line code), operand and destination values
-// against the last value seen in that architectural register, and
-// addresses against the last memory address. Both ends advance the same
-// state machine, so the stream stays in sync without any absolute
-// values after the first record — stride-heavy media kernels compress
-// to a few bytes per dynamic instruction.
+// A load's delta is its value minus the last value loaded at the same
+// static PC (zero before the first), the stride the paper's value
+// predictor learns per PC: a strided or repeated load costs one byte.
+// A block's payload holds exactly the loads of its records, so the
+// concatenated payloads are the trace's load column, which the
+// in-memory form keeps byte for byte (mem.go).
 //
 // Versioning policy: the version byte after the magic is bumped on any
-// incompatible change to the header or record layout; readers reject
-// unknown versions with ErrVersion rather than guessing. Additive
-// changes ride on flags bits, which old readers reject as corrupt
-// instead of silently misdecoding (unknown bits 5-7 must be zero).
+// incompatible change to the layout, and the golden encoding in
+// format_test.go changes with it. Readers reject every other version
+// with ErrVersion rather than guessing; there is no reader for the
+// version 1 per-record delta layout.
 
 import (
 	"bufio"
@@ -51,21 +50,27 @@ import (
 const Magic = "CVTR"
 
 // Version is the current trace format version.
-const Version = 1
+const Version = 2
 
 // Decode-time limits: adversarial length fields must not drive
-// allocation, so every variable-size structure is capped before any
-// buffer is grown (FuzzTraceReader locks this in). maxHeaderPayload
-// must accommodate the worst-case valid header — maxCodeLen
-// instructions at maxInstEncoding bytes each plus the name — so that
-// everything NewWriter accepts, NewReader accepts back.
+// allocation or work, so every variable-size structure is capped before
+// any buffer is grown and any record re-executed (FuzzTraceReader locks
+// this in). maxHeaderPayload must accommodate the worst-case valid
+// header — maxCodeLen instructions at maxInstEncoding bytes each plus
+// the name and the entry PC — so that everything NewWriter accepts,
+// NewReader accepts back. maxRecords bounds the records a trace may
+// hold: a few bytes can claim any number of records of a loop with no
+// loads, so a claim above it is refused before re-execution starts. It
+// is far above any trace the kernel suite writes and fits an int on
+// 32-bit platforms.
 const (
 	maxNameLen       = 1 << 12
 	maxCodeLen       = 1 << 18
 	maxInstEncoding  = 2 + 3 + 10 + 10 + 10 // op + regs + imm + fimm + target varints
-	maxHeaderPayload = maxNameLen + 2*10 + maxCodeLen*maxInstEncoding
+	maxHeaderPayload = maxNameLen + 3*10 + maxCodeLen*maxInstEncoding
 	maxBlockPayload  = 1 << 20
 	maxBlockRecords  = 1 << 16
+	maxRecords       = 1 << 28
 )
 
 // Writer-side block bounds: a block flushes at whichever limit it hits
@@ -75,33 +80,21 @@ const (
 	flushBytes   = 1 << 18
 )
 
-// Typed decode errors. Every failure path wraps exactly one of these,
-// so callers can errors.Is-classify without string matching.
+// Typed errors. Every failure path wraps exactly one of these, so
+// callers can errors.Is-classify without string matching.
 var (
 	// ErrBadMagic means the input does not start with a .cvt header.
 	ErrBadMagic = errors.New("trace: not a .cvt trace file")
 	// ErrVersion means the file's format version is not supported.
 	ErrVersion = errors.New("trace: unsupported trace format version")
-	// ErrCorrupt means a CRC mismatch or a structurally invalid field.
+	// ErrCorrupt means a CRC mismatch, a structurally invalid field or
+	// a record the code cannot re-execute.
 	ErrCorrupt = errors.New("trace: corrupt trace")
 	// ErrTruncated means the stream ended before the end-of-trace marker.
 	ErrTruncated = errors.New("trace: truncated trace")
-)
-
-// deltaState is the shared encoder/decoder prediction context.
-type deltaState struct {
-	pc      int
-	lastVal [isa.NumRegs]uint64
-	lastAdr uint64
-}
-
-const (
-	flagTaken  = 1 << 0
-	flagDst    = 1 << 1
-	flagAddr   = 1 << 2
-	nsrcShift  = 3
-	nsrcMask   = 3 << nsrcShift
-	flagUnused = ^byte(flagTaken | flagDst | flagAddr | nsrcMask)
+	// ErrOffModel means the Writer was given a record that is not what
+	// executing the code gives, which the format cannot store.
+	ErrOffModel = errors.New("trace: record is not what executing the code gives")
 )
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -112,16 +105,21 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // close the underlying io.Writer).
 type Writer struct {
 	w       io.Writer
-	st      deltaState
-	payload []byte // current block, encoded
-	scratch []byte // varint staging for block headers
+	header  []byte // the header payload but the entry PC; nil once written
+	code    []isa.Inst
+	pc      int // the PC the next record must have
+	regs    regFile
+	last    []uint64 // the last value loaded at each PC
+	payload []byte   // current block's load column
+	scratch []byte   // varint staging for block headers
 	records int
 	total   uint64
 	err     error
 }
 
-// NewWriter writes the .cvt header (trace name plus the static code the
-// records index into) and returns a Writer for the record stream.
+// NewWriter checks the trace name and the static code the records index
+// into and returns a Writer for the record stream. The header is written
+// with the first record, whose PC is the entry PC, or by Close.
 func NewWriter(w io.Writer, name string, code []isa.Inst) (*Writer, error) {
 	if len(name) > maxNameLen {
 		return nil, fmt.Errorf("%w: trace name %d bytes exceeds %d", ErrCorrupt, len(name), maxNameLen)
@@ -129,9 +127,7 @@ func NewWriter(w io.Writer, name string, code []isa.Inst) (*Writer, error) {
 	if len(code) > maxCodeLen {
 		return nil, fmt.Errorf("%w: static code %d instructions exceeds %d", ErrCorrupt, len(code), maxCodeLen)
 	}
-	tw := &Writer{w: w}
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, uint64(len(name)))
+	hdr := binary.AppendUvarint(nil, uint64(len(name)))
 	hdr = append(hdr, name...)
 	hdr = binary.AppendUvarint(hdr, uint64(len(code)))
 	for _, in := range code {
@@ -141,16 +137,21 @@ func NewWriter(w io.Writer, name string, code []isa.Inst) (*Writer, error) {
 		hdr = binary.AppendUvarint(hdr, f2b(in.FImm))
 		hdr = binary.AppendUvarint(hdr, zigzag(int64(in.Target)))
 	}
-	if _, err := io.WriteString(w, Magic); err != nil {
-		return nil, err
+	return &Writer{w: w, header: hdr, code: code, last: make([]uint64, len(code))}, nil
+}
+
+// writeHeader writes the magic, the version and the header with the
+// entry PC.
+func (w *Writer) writeHeader(entry int) error {
+	hdr := binary.AppendUvarint(w.header, uint64(entry))
+	w.header = nil
+	if _, err := io.WriteString(w.w, Magic); err != nil {
+		return err
 	}
-	if _, err := w.Write([]byte{Version}); err != nil {
-		return nil, err
+	if _, err := w.w.Write([]byte{Version}); err != nil {
+		return err
 	}
-	if err := tw.writeChecked(hdr, nil); err != nil {
-		return nil, err
-	}
-	return tw, nil
+	return w.writeChecked(hdr, nil)
 }
 
 // writeChecked emits prefix varints, a length-prefixed payload and its
@@ -173,48 +174,76 @@ func (w *Writer) writeChecked(payload []byte, prefix []uint64) error {
 	return err
 }
 
-// Write appends one record to the stream.
+// Write appends one record to the stream. It re-executes the record on
+// the Writer's own register file and refuses it with ErrOffModel when
+// any field differs; after a refusal every call fails the same way.
 func (w *Writer) Write(d *DynInst) error {
 	if w.err != nil {
 		return w.err
 	}
-	info := d.Info()
-	nsrc := info.NumSrc
-	flags := byte(nsrc) << nsrcShift
-	if d.Taken {
-		flags |= flagTaken
+	if w.header != nil {
+		w.pc = d.PC
 	}
-	if info.HasDest {
-		flags |= flagDst
+	load, err := w.check(d)
+	if err != nil {
+		w.err = err
+		return err
 	}
-	if info.IsLoad || info.IsStore {
-		flags |= flagAddr
+	if w.header != nil {
+		if w.err = w.writeHeader(d.PC); w.err != nil {
+			return w.err
+		}
 	}
-	p := w.payload
-	p = append(p, flags)
-	p = binary.AppendUvarint(p, zigzag(int64(d.PC-w.st.pc)))
-	p = binary.AppendUvarint(p, zigzag(int64(d.NextPC-(d.PC+1))))
-	for i := 0; i < nsrc; i++ {
-		r := d.Inst.Source(i)
-		p = binary.AppendUvarint(p, zigzag(int64(d.SrcVal[i]-w.st.lastVal[r])))
-		w.st.lastVal[r] = d.SrcVal[i]
+	if load {
+		w.payload = binary.AppendUvarint(w.payload, zigzag(int64(d.DstVal-w.last[d.PC])))
+		w.last[d.PC] = d.DstVal
 	}
-	if flags&flagDst != 0 {
-		p = binary.AppendUvarint(p, zigzag(int64(d.DstVal-w.st.lastVal[d.Inst.Rd])))
-		w.st.lastVal[d.Inst.Rd] = d.DstVal
-	}
-	if flags&flagAddr != 0 {
-		p = binary.AppendUvarint(p, zigzag(int64(d.Addr-w.st.lastAdr)))
-		w.st.lastAdr = d.Addr
-	}
-	w.payload = p
-	w.st.pc = d.PC
+	w.pc = d.NextPC
 	w.records++
 	w.total++
 	if w.records >= flushRecords || len(w.payload) >= flushBytes {
 		w.err = w.flush()
 	}
 	return w.err
+}
+
+// check re-executes the record the Writer expects next and compares d
+// with it, a load's value taken from d. It reports whether d is a load.
+func (w *Writer) check(d *DynInst) (load bool, err error) {
+	if w.total >= maxRecords {
+		return false, fmt.Errorf("%w: more than %d records", ErrCorrupt, maxRecords)
+	}
+	pc := w.pc
+	if pc < 0 || pc >= len(w.code) {
+		return false, fmt.Errorf("%w: record %d: pc %d outside code [0,%d)", ErrOffModel, w.total, pc, len(w.code))
+	}
+	in := &w.code[pc]
+	var want DynInst
+	load, _, ok := eval(&want, pc, in, &w.regs)
+	if !ok {
+		return false, fmt.Errorf("%w: record %d: pc %d: %v does not execute", ErrOffModel, w.total, pc, in.Op)
+	}
+	want.Seq = w.total
+	if load {
+		want.DstVal = d.DstVal
+		w.regs.write(in.Rd, d.DstVal)
+	}
+	if !sameRecord(d, &want) {
+		return false, fmt.Errorf("%w: record %d is %+v, executing the code gives %+v", ErrOffModel, w.total, *d, want)
+	}
+	return load, nil
+}
+
+// sameRecord reports whether two records are bit-for-bit equal. A NaN
+// immediate is equal to itself, so FImm compares by its bits. It
+// compares field by field: copying the records to compare them as
+// structs took a quarter of the time to write a trace.
+func sameRecord(a, b *DynInst) bool {
+	x, y := &a.Inst, &b.Inst
+	return a.Seq == b.Seq && a.PC == b.PC && a.NextPC == b.NextPC && a.Taken == b.Taken &&
+		a.SrcVal == b.SrcVal && a.DstVal == b.DstVal && a.Addr == b.Addr &&
+		x.Op == y.Op && x.Rd == y.Rd && x.Ra == y.Ra && x.Rb == y.Rb &&
+		x.Imm == y.Imm && x.Target == y.Target && f2b(x.FImm) == f2b(y.FImm)
 }
 
 // flush writes the buffered block, if any.
@@ -232,10 +261,16 @@ func (w *Writer) flush() error {
 func (w *Writer) Count() uint64 { return w.total }
 
 // Close flushes the final block and writes the end-of-trace marker with
-// the total record count. It does not close the underlying writer.
+// the total record count, after the header if no record was written
+// (entry PC 0). It does not close the underlying writer.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
+	}
+	if w.header != nil {
+		if w.err = w.writeHeader(0); w.err != nil {
+			return w.err
+		}
 	}
 	if err := w.flush(); err != nil {
 		w.err = err
@@ -258,29 +293,92 @@ func (w *Writer) Close() error {
 	return nil
 }
 
+// machine re-executes a trace: the code, the next record's PC, a
+// register file, the last value loaded at each PC and the load column
+// the loads take their values from. The Reader steps one over each
+// block's column, a Cursor one over the whole column.
+type machine struct {
+	code []isa.Inst
+	pc   int
+	regs regFile
+	last []uint64 // len(code)
+	col  []byte
+	off  int // the next load's offset in col
+}
+
+// step re-executes the record at m.pc into d (all but d.Seq), taking a
+// load's value from the column. It fails, leaving m.pc at the record,
+// on a PC outside the code, an opcode eval cannot execute and a load
+// past the column's end; fault then says which.
+func (m *machine) step(d *DynInst) bool {
+	pc := m.pc
+	if pc < 0 || pc >= len(m.code) {
+		return false
+	}
+	in := &m.code[pc]
+	load, _, ok := eval(d, pc, in, &m.regs)
+	if !ok {
+		return false
+	}
+	if load {
+		var u uint64
+		if m.off < len(m.col) && m.col[m.off] < 0x80 {
+			u = uint64(m.col[m.off])
+			m.off++
+		} else {
+			v, n := binary.Uvarint(m.col[m.off:])
+			if n <= 0 {
+				return false
+			}
+			u = v
+			m.off += n
+		}
+		v := m.last[pc] + uint64(unzigzag(u))
+		m.last[pc] = v
+		d.DstVal = v
+		m.regs.write(in.Rd, v)
+	}
+	m.pc = d.NextPC
+	return true
+}
+
+// fault describes why step failed at m.pc.
+func (m *machine) fault() string {
+	pc := m.pc
+	if pc < 0 || pc >= len(m.code) {
+		return fmt.Sprintf("pc %d outside code [0,%d)", pc, len(m.code))
+	}
+	var d DynInst
+	var rf regFile
+	if _, _, ok := eval(&d, pc, &m.code[pc], &rf); !ok {
+		return fmt.Sprintf("pc %d: %v does not execute", pc, m.code[pc].Op)
+	}
+	return fmt.Sprintf("pc %d: load at column byte %d of %d", pc, m.off, len(m.col))
+}
+
 // Reader streams DynInst records out of a .cvt container. It implements
 // Source; decoding is strictly sequential and holds at most one block
 // in memory, so traces never need to fit in RAM.
 type Reader struct {
-	r    *bufio.Reader
-	src  io.Reader // the undecorated input, for trailerRecords
-	name string
-	code []isa.Inst
-
-	st      deltaState
-	scratch []byte // reusable block buffer (full capacity)
-	block   []byte // valid payload of the current block
-	off     int    // decode position within block
-	left    int    // records remaining in current block
+	r       *bufio.Reader
+	name    string
+	m       machine // col is the current block's payload
+	scratch []byte  // reusable block buffer (full capacity)
+	left    int     // records remaining in current block
 	seq     uint64
 	done    bool
 	err     error
+	// keep, when set, is given each block's payload as it is read:
+	// ReadMemCapped collects the load column through it.
+	keep func(payload []byte) error
 }
 
 // NewReader parses the .cvt header from r and returns a Reader
-// positioned at the first record.
+// positioned at the first record. When r is random access (an
+// *os.File, a *bytes.Reader) and its end block claims more records than
+// a trace may hold, NewReader refuses it before any record is decoded.
 func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{r: bufio.NewReaderSize(r, 1<<16), src: r}
+	tr := &Reader{r: bufio.NewReaderSize(r, 1<<16)}
 	var magic [5]byte
 	if _, err := io.ReadFull(tr.r, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: missing header: %v", ErrBadMagic, err)
@@ -305,14 +403,15 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if codeLen > maxCodeLen {
 		return nil, fmt.Errorf("%w: code length %d exceeds %d", ErrCorrupt, codeLen, maxCodeLen)
 	}
+	var code []isa.Inst
 	if d.err == nil {
-		tr.code = make([]isa.Inst, codeLen)
-		for i := range tr.code {
+		code = make([]isa.Inst, codeLen)
+		for i := range code {
 			op := d.uvarint()
 			if op >= uint64(isa.NumOpcodes) {
 				return nil, fmt.Errorf("%w: opcode %d out of range at code[%d]", ErrCorrupt, op, i)
 			}
-			tr.code[i] = isa.Inst{
+			code[i] = isa.Inst{
 				Op:     isa.Opcode(op),
 				Rd:     isa.RegID(d.byte()),
 				Ra:     isa.RegID(d.byte()),
@@ -323,12 +422,20 @@ func NewReader(r io.Reader) (*Reader, error) {
 			}
 		}
 	}
+	entry := d.uvarint()
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, d.err)
 	}
 	if d.off != len(hdr) {
 		return nil, fmt.Errorf("%w: %d trailing header bytes", ErrCorrupt, len(hdr)-d.off)
 	}
+	if entry > maxCodeLen {
+		return nil, fmt.Errorf("%w: entry pc %d exceeds %d", ErrCorrupt, entry, maxCodeLen)
+	}
+	if n, ok := trailerRecords(r); ok && n > maxRecords {
+		return nil, fmt.Errorf("%w: end block claims %d records, more than %d", ErrCorrupt, n, maxRecords)
+	}
+	tr.m = machine{code: code, pc: int(entry), last: make([]uint64, len(code))}
 	return tr, nil
 }
 
@@ -336,7 +443,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 func (r *Reader) Name() string { return r.name }
 
 // Code returns the static program the records index into.
-func (r *Reader) Code() []isa.Inst { return r.code }
+func (r *Reader) Code() []isa.Inst { return r.m.code }
 
 // Count returns the number of records decoded so far.
 func (r *Reader) Count() uint64 { return r.seq }
@@ -421,29 +528,31 @@ func (r *Reader) nextBlock() bool {
 		r.err = fmt.Errorf("%w: block of %d records exceeds %d", ErrCorrupt, count, maxBlockRecords)
 		return false
 	}
+	if r.seq+count > maxRecords {
+		r.err = fmt.Errorf("%w: more than %d records", ErrCorrupt, maxRecords)
+		return false
+	}
 	block, err := r.readChecked(0, "block")
+	if err == nil && r.keep != nil {
+		err = r.keep(block)
+	}
 	if err != nil {
 		r.err = err
 		return false
 	}
-	r.block = block
+	r.m.col, r.m.off = block, 0
 	r.left = int(count)
-	r.off = 0
 	return true
 }
 
-// minRecordBytes is the smallest encoded record: the flags byte and
-// one varint byte each for the pc and next-pc deltas.
-const minRecordBytes = 3
-
 // trailerRecords returns the record count the end block claims, read
 // from the tail of a random-access input without moving the stream
-// position. ok is false when the input is not random access, when its
-// tail is not a well-formed end block, or when the count is more than
-// the input's size could encode. The count is a claim only: Next still
-// checks the end block it streams against the records it decoded.
-func (r *Reader) trailerRecords() (n uint64, ok bool) {
-	ra, size := randomAccess(r.src)
+// position. ok is false when the input is not random access or when
+// its tail is not a well-formed end block. The count is a claim only:
+// Next still checks the end block it streams against the records it
+// decoded.
+func trailerRecords(src io.Reader) (n uint64, ok bool) {
+	ra, size := randomAccess(src)
 	if ra == nil {
 		return 0, false
 	}
@@ -466,7 +575,7 @@ func (r *Reader) trailerRecords() (n uint64, ok bool) {
 		return 0, false
 	}
 	n, m := binary.Uvarint(body[i:])
-	if m != len(body)-i || n > uint64(size)/minRecordBytes {
+	if m != len(body)-i {
 		return 0, false
 	}
 	var enc [binary.MaxVarintLen64]byte
@@ -496,7 +605,8 @@ func randomAccess(src io.Reader) (io.ReaderAt, int64) {
 	return nil, 0
 }
 
-// Next implements Source: it decodes one record into d.
+// Next implements Source: it re-executes one record into d, taking a
+// load's value from the current block's column.
 func (r *Reader) Next(d *DynInst) bool {
 	if r.err != nil || r.done {
 		return false
@@ -504,63 +614,16 @@ func (r *Reader) Next(d *DynInst) bool {
 	if r.left == 0 && !r.nextBlock() {
 		return false
 	}
-	dec := decoder{buf: r.block, off: r.off}
-	flags := dec.byte()
-	if flags&flagUnused != 0 {
-		r.err = fmt.Errorf("%w: record %d: unknown flag bits %#02x", ErrCorrupt, r.seq, flags)
-		return false
-	}
-	pc := r.st.pc + int(unzigzag(dec.uvarint()))
-	if pc < 0 || pc >= len(r.code) {
-		r.err = fmt.Errorf("%w: record %d: pc %d outside code [0,%d)", ErrCorrupt, r.seq, pc, len(r.code))
-		return false
-	}
-	in := r.code[pc]
-	nsrc := int(flags&nsrcMask) >> nsrcShift
-	if info := isa.InfoFor(in.Op); nsrc != info.NumSrc ||
-		(flags&flagDst != 0) != info.HasDest ||
-		(flags&flagAddr != 0) != (info.IsLoad || info.IsStore) {
-		r.err = fmt.Errorf("%w: record %d: flags %#02x inconsistent with opcode %v", ErrCorrupt, r.seq, flags, in.Op)
-		return false
-	}
-	*d = DynInst{Seq: r.seq, PC: pc, Inst: in}
-	d.NextPC = pc + 1 + int(unzigzag(dec.uvarint()))
-	d.Taken = flags&flagTaken != 0
-	for i := 0; i < nsrc; i++ {
-		reg := in.Source(i)
-		if !reg.Valid() {
-			r.err = fmt.Errorf("%w: record %d: source register %d invalid", ErrCorrupt, r.seq, reg)
-			return false
-		}
-		v := r.st.lastVal[reg] + uint64(unzigzag(dec.uvarint()))
-		d.SrcVal[i] = v
-		r.st.lastVal[reg] = v
-	}
-	if flags&flagDst != 0 {
-		if !in.Rd.Valid() {
-			r.err = fmt.Errorf("%w: record %d: destination register %d invalid", ErrCorrupt, r.seq, in.Rd)
-			return false
-		}
-		v := r.st.lastVal[in.Rd] + uint64(unzigzag(dec.uvarint()))
-		d.DstVal = v
-		r.st.lastVal[in.Rd] = v
-	}
-	if flags&flagAddr != 0 {
-		r.st.lastAdr += uint64(unzigzag(dec.uvarint()))
-		d.Addr = r.st.lastAdr
-	}
-	if dec.err != nil {
-		r.err = fmt.Errorf("%w: record %d: %v", ErrCorrupt, r.seq, dec.err)
-		return false
-	}
-	r.st.pc = pc
-	r.off = dec.off
-	r.left--
-	if r.left == 0 && r.off != len(r.block) {
-		r.err = fmt.Errorf("%w: %d trailing bytes in block", ErrCorrupt, len(r.block)-r.off)
+	d.Seq = r.seq
+	if !r.m.step(d) {
+		r.err = fmt.Errorf("%w: record %d: %s", ErrCorrupt, r.seq, r.m.fault())
 		return false
 	}
 	r.seq++
+	if r.left--; r.left == 0 && r.m.off != len(r.m.col) {
+		r.err = fmt.Errorf("%w: %d load column bytes left over in block", ErrCorrupt, len(r.m.col)-r.m.off)
+		return false
+	}
 	return true
 }
 

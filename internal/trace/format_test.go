@@ -2,14 +2,19 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"syscall"
 	"testing"
 
 	"clustervp/internal/isa"
+	"clustervp/internal/program"
 	"clustervp/internal/trace"
 	"clustervp/internal/workload"
 )
@@ -200,6 +205,7 @@ func TestTruncationAndCorruptionAreTyped(t *testing.T) {
 		{"empty", func(b []byte) []byte { return nil }, []error{trace.ErrBadMagic}},
 		{"bad-magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, []error{trace.ErrBadMagic}},
 		{"bad-version", func(b []byte) []byte { b[4] = 99; return b }, []error{trace.ErrVersion}},
+		{"version-1", func(b []byte) []byte { b[4] = 1; return b }, []error{trace.ErrVersion}},
 		{"truncated-header", func(b []byte) []byte { return b[:8] }, []error{trace.ErrTruncated, trace.ErrCorrupt}},
 		{"truncated-mid", func(b []byte) []byte { return b[:len(b)/2] }, []error{trace.ErrTruncated, trace.ErrCorrupt}},
 		{"no-trailer", func(b []byte) []byte { return b[:len(b)-5] }, []error{trace.ErrTruncated, trace.ErrCorrupt}},
@@ -289,5 +295,174 @@ func TestLargeCodeHeaderRoundTrips(t *testing.T) {
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// goldenKernel loads three words at one PC in a loop, so its trace
+// codes the per-PC delta of a repeated load: 5, then +2, then -4.
+func goldenKernel() *program.Program {
+	b := program.NewBuilder("golden")
+	words := b.DataWords([]int64{5, 7, 3})
+	b.Li(isa.R1, words).Li(isa.R2, 3)
+	b.Label("loop").Load(isa.LW, isa.R3, isa.R1, 0)
+	b.I(isa.ADDI, isa.R1, isa.R1, 8).I(isa.ADDI, isa.R2, isa.R2, -1)
+	b.Br(isa.BNE, isa.R2, isa.R0, "loop").Halt()
+	return b.MustBuild()
+}
+
+// goldenCVT is goldenKernel's trace in format version 2: magic and
+// version; the header (name, 7 instructions, entry PC 0) and its CRC;
+// one block of 14 records whose column is the zigzag deltas 10, 4, 7;
+// the end block. A change to these bytes is a format change: it needs
+// a new Version.
+const goldenCVT = "" +
+	"43565452" + "02" + // magic, version
+	"3a" + "06676f6c64656e" + "07" + // header length, name, code length
+	"13" + "010000" + "00" + "00" + "00" + // li r1, 0 (op, rd ra rb, imm, fimm, target)
+	"13" + "020000" + "06" + "00" + "00" + // li r2, 3
+	"17" + "030100" + "00" + "00" + "00" + // lw r3, 0(r1)
+	"0b" + "010100" + "10" + "00" + "00" + // addi r1, r1, 8
+	"0b" + "020200" + "01" + "00" + "00" + // addi r2, r2, -1
+	"1e" + "000200" + "00" + "00" + "04" + // bne r2, r0, 2
+	"33" + "000000" + "00" + "00" + "00" + // halt
+	"00" + "c2e8fdd1" + // entry pc, header CRC
+	"0e" + "03" + "0a0407" + "630cde08" + // 14 records, 3 column bytes, CRC
+	"00" + "0e" + "8ac2ba35" // end block: 14 records, CRC
+
+// TestFormatGolden pins the exact encoding of a tiny kernel's trace and
+// requires the Reader and ReadMem to give the Executor's records back
+// from those bytes.
+func TestFormatGolden(t *testing.T) {
+	prog := goldenKernel()
+	want := collect(t, trace.NewExecutor(prog))
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, prog.Name, prog.Code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if err := w.Write(&want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != goldenCVT {
+		t.Fatalf("encoding changed:\n got %s\nwant %s", got, goldenCVT)
+	}
+	data, err := hex.DecodeString(goldenCVT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, newReader(t, data)); !reflect.DeepEqual(got, want) {
+		t.Error("the Reader's records differ from the Executor's")
+	}
+	mt, err := trace.ReadMem(newReader(t, data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, mt.NewCursor()); !reflect.DeepEqual(got, want) {
+		t.Error("the cursor's records differ from the Executor's")
+	}
+}
+
+// TestWriterRefusesOffModelRecords: the format stores only what
+// executing the code cannot give, so the Writer refuses with
+// ErrOffModel any record that differs from re-executing the code in one
+// field, accepting every record before it, and stays refused.
+func TestWriterRefusesOffModelRecords(t *testing.T) {
+	k, err := workload.ByName("rawcaudio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := k.Build(1)
+	recs := collect(t, trace.NewExecutor(prog))[:2000]
+	edits := []struct {
+		field string
+		edit  func(d *trace.DynInst) bool
+	}{
+		{"seq", func(d *trace.DynInst) bool { d.Seq++; return true }},
+		{"pc", func(d *trace.DynInst) bool { d.PC++; d.Inst = prog.Code[d.PC]; return true }},
+		{"instruction", func(d *trace.DynInst) bool { d.Inst.Imm++; return true }},
+		{"source values", func(d *trace.DynInst) bool {
+			if d.Info().NumSrc == 0 {
+				return false
+			}
+			d.SrcVal[0]++
+			return true
+		}},
+		{"unused source slot", func(d *trace.DynInst) bool {
+			if d.Info().NumSrc != 1 {
+				return false
+			}
+			d.SrcVal[1] = 1
+			return true
+		}},
+		{"next pc", func(d *trace.DynInst) bool { d.NextPC++; return true }},
+		{"taken", func(d *trace.DynInst) bool {
+			if !d.Info().IsCondBranch {
+				return false
+			}
+			d.Taken = !d.Taken
+			return true
+		}},
+		{"address", func(d *trace.DynInst) bool {
+			if info := d.Info(); !info.IsLoad && !info.IsStore {
+				return false
+			}
+			d.Addr += 8
+			return true
+		}},
+		{"destination", func(d *trace.DynInst) bool {
+			if info := d.Info(); !info.HasDest || info.IsLoad {
+				return false
+			}
+			d.DstVal++
+			return true
+		}},
+	}
+	for _, e := range edits {
+		w, err := trace.NewWriter(io.Discard, prog.Name, prog.Code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := -1
+		for i := range recs {
+			d := recs[i]
+			if at < 0 && i >= len(recs)/2 && e.edit(&d) {
+				at = i
+			}
+			err := w.Write(&d)
+			if (err != nil) != (i >= at && at >= 0) {
+				t.Fatalf("%s edited at record %d: record %d: Write = %v", e.field, at, i, err)
+			}
+			if err != nil && !errors.Is(err, trace.ErrOffModel) {
+				t.Fatalf("%s: got %v, want ErrOffModel", e.field, err)
+			}
+		}
+		if at < 0 {
+			t.Fatalf("%s: no record to edit", e.field)
+		}
+		if err := w.Close(); !errors.Is(err, trace.ErrOffModel) {
+			t.Errorf("%s: Close after a refusal = %v, want ErrOffModel", e.field, err)
+		}
+	}
+
+	// A first record outside the code, or one the code cannot execute,
+	// is refused before the header is written.
+	halt := slices.IndexFunc(prog.Code, func(in isa.Inst) bool { return in.Op == isa.HALT })
+	for name, d := range map[string]trace.DynInst{
+		"pc outside the code": {PC: len(prog.Code)},
+		"halt":                {PC: halt, Inst: prog.Code[halt], NextPC: halt + 1},
+	} {
+		var out bytes.Buffer
+		w, err := trace.NewWriter(&out, prog.Name, prog.Code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(&d); !errors.Is(err, trace.ErrOffModel) || out.Len() != 0 {
+			t.Errorf("%s: Write = %v with %d bytes written, want ErrOffModel and none", name, err, out.Len())
+		}
 	}
 }

@@ -4,31 +4,92 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 
+	"clustervp/internal/isa"
 	"clustervp/internal/trace"
-	"clustervp/internal/trace/tracetest"
 	"clustervp/internal/workload"
 )
+
+// cvtBlock is one block of a hand-made container: its record count and
+// its load column.
+type cvtBlock struct {
+	records uint64
+	column  []byte
+}
+
+// cvt encodes a container named "test" from its parts, following the
+// layout in format.go but not the Writer, so that tests can make the
+// files a Writer never would.
+func cvt(code []isa.Inst, entry uint64, blocks []cvtBlock, total uint64) []byte {
+	zz := func(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+	checked := func(out, payload []byte) []byte {
+		out = binary.AppendUvarint(out, uint64(len(payload)))
+		out = append(out, payload...)
+		return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	}
+	hdr := append(binary.AppendUvarint(nil, 4), "test"...)
+	hdr = binary.AppendUvarint(hdr, uint64(len(code)))
+	for _, in := range code {
+		hdr = binary.AppendUvarint(hdr, uint64(in.Op))
+		hdr = append(hdr, byte(in.Rd), byte(in.Ra), byte(in.Rb))
+		hdr = binary.AppendUvarint(hdr, zz(in.Imm))
+		hdr = binary.AppendUvarint(hdr, math.Float64bits(in.FImm))
+		hdr = binary.AppendUvarint(hdr, zz(int64(in.Target)))
+	}
+	out := checked([]byte{'C', 'V', 'T', 'R', 2}, binary.AppendUvarint(hdr, entry))
+	for _, b := range blocks {
+		out = checked(binary.AppendUvarint(out, b.records), b.column)
+	}
+	end := binary.AppendUvarint(nil, total)
+	out = append(append(out, 0), end...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(end))
+}
+
+var (
+	// spin is a loop with no loads: a block of any number of its
+	// records holds no column bytes.
+	spin = []isa.Inst{{Op: isa.J, Target: 0}}
+	// loadLoop loads address 0 at pc 0, then jumps back to it.
+	loadLoop = []isa.Inst{{Op: isa.LW, Rd: isa.R1}, {Op: isa.J, Target: 0}}
+)
+
+// unexecutable lists containers whose every CRC holds but whose records
+// cannot be re-executed from their code and column. The Reader and
+// ReadMem must both refuse each with ErrCorrupt.
+var unexecutable = []struct {
+	name string
+	data []byte
+}{
+	{"pc outside the code", cvt(spin, 1, []cvtBlock{{1, nil}}, 1)},
+	{"halt", cvt([]isa.Inst{{Op: isa.HALT}}, 0, []cvtBlock{{1, nil}}, 1)},
+	{"column exhausted", cvt(loadLoop, 0, []cvtBlock{{3, []byte{2}}}, 3)},
+	{"column bytes left over", cvt(loadLoop, 0, []cvtBlock{{2, []byte{2, 4}}}, 2)},
+	{"loads across a block boundary", cvt(loadLoop, 0, []cvtBlock{{1, []byte{2, 4}}, {2, nil}}, 3)},
+	{"bad varint", cvt(loadLoop, 0, []cvtBlock{{1, bytes.Repeat([]byte{0xff}, 11)}}, 1)},
+	{"count differs from the end block", cvt(spin, 0, []cvtBlock{{5, nil}}, 4)},
+	{"claim over the record cap", cvt(spin, 0, []cvtBlock{{5, nil}}, 1<<60)},
+}
 
 // FuzzTraceReader throws arbitrary bytes at the .cvt decoder and
 // requires it to either decode records or fail with one of the typed
 // errors — never panic, never loop forever, never allocate in
-// proportion to an attacker-controlled length field. It is also a
-// differential test of the in-memory form: whenever the Reader decodes
-// an input without error, ReadMem on the same bytes either answers
-// ErrNoMemForm or yields a MemTrace whose cursor replays exactly the
-// Reader's records. Run it with
+// proportion to an attacker-controlled length field or record count.
+// A version 1 file must get ErrVersion. It is also a differential test
+// of the in-memory form: ReadMem on the same bytes must fail exactly
+// when the Reader does, and otherwise yield a MemTrace whose cursor
+// replays the Reader's records one for one. Run it with
 //
 //	go test -fuzz=FuzzTraceReader ./internal/trace
 //
-// The seed corpus in testdata/fuzz/FuzzTraceReader covers the
-// structured cases mutation starts from: a pristine small trace, a
-// header-only file, truncations, and bit flips in each region. The
-// seeds added below add the valid traces the in-memory form must
-// refuse, each off the re-executed record in one field
-// (tracetest.OffModel).
+// The seed corpus in testdata/fuzz/FuzzTraceReader holds hand-made
+// version 2 containers and a version 1 file. The seeds added below are
+// a kernel prefix, its truncations and bit flips, and the containers
+// that cannot be re-executed (unexecutable): a PC outside the code, a
+// HALT, a column too short or too long, and record counts the end block
+// contradicts or that pass the cap.
 func FuzzTraceReader(f *testing.F) {
 	k, err := workload.ByName("rawcaudio")
 	if err != nil {
@@ -56,67 +117,61 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add(valid[:5]) // magic+version only
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
-	f.Add([]byte("CVTR\x01"))
+	f.Add([]byte("CVTR\x01")) // version 1
 	f.Add([]byte("CVTR\x63")) // future version
 	f.Add([]byte("not a trace at all"))
 	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/3] ^= 0x20
+	flipped[len(flipped)-12] ^= 0x20
 	f.Add(flipped)
 	// Bytes after the end block: the Reader must reject them, or the
 	// same records would be stored under a second digest.
 	f.Add(append(append([]byte(nil), valid...), 0))
 	// A huge declared header length with no data behind it: the decoder
 	// must reject it by limit, not allocate it.
-	f.Add([]byte{'C', 'V', 'T', 'R', 1, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	for _, off := range tracetest.OffModel {
-		data, err := off()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	f.Add([]byte{'C', 'V', 'T', 'R', 2, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	for _, u := range unexecutable {
+		f.Add(u.data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := trace.NewReader(bytes.NewReader(data))
+		if bytes.HasPrefix(data, []byte("CVTR\x01")) && !errors.Is(err, trace.ErrVersion) {
+			t.Fatalf("a version 1 file: got %v, want ErrVersion", err)
+		}
 		if err != nil {
 			requireTyped(t, err)
 			return
 		}
-		var recs []trace.DynInst
-		var d trace.DynInst
-		for r.Next(&d) {
+		mt, memErr := trace.ReadMem(newReader(t, data))
+		var c *trace.Cursor
+		if memErr == nil {
+			c = mt.NewCursor()
+		}
+		var d, e trace.DynInst
+		for n := uint64(0); r.Next(&d); n++ {
 			// Every decoded record must be internally consistent enough
 			// for the timing core to consume blindly.
 			if d.PC < 0 || d.PC >= len(r.Code()) {
-				t.Fatalf("record %d: pc %d outside decoded code", len(recs), d.PC)
+				t.Fatalf("record %d: pc %d outside decoded code", n, d.PC)
 			}
-			if d.Seq != uint64(len(recs)) {
-				t.Fatalf("record %d: seq %d", len(recs), d.Seq)
+			if d.Seq != n {
+				t.Fatalf("record %d: seq %d", n, d.Seq)
 			}
-			recs = append(recs, d)
+			if c != nil && (!c.Next(&e) || !sameRecord(e, d)) {
+				t.Fatalf("record %d: cursor yields %+v, Reader %+v", n, e, d)
+			}
 		}
-		if err := r.Err(); err != nil {
-			requireTyped(t, err)
+		readErr := r.Err()
+		if (readErr == nil) != (memErr == nil) {
+			t.Fatalf("the Reader ends with %v, ReadMem with %v", readErr, memErr)
+		}
+		if readErr != nil {
+			requireTyped(t, readErr)
+			requireTyped(t, memErr)
 			return
 		}
-		mt, err := trace.ReadMem(newReader(t, data))
-		if errors.Is(err, trace.ErrNoMemForm) {
-			return
-		}
-		if err != nil {
-			t.Fatalf("Reader decodes the input, ReadMem fails: %v", err)
-		}
-		c := mt.NewCursor()
-		for i := range recs {
-			if !c.Next(&d) {
-				t.Fatalf("cursor ends after %d records, Reader yields %d", i, len(recs))
-			}
-			if !sameRecord(d, recs[i]) {
-				t.Fatalf("record %d: cursor yields %+v, Reader %+v", i, d, recs[i])
-			}
-		}
-		if c.Next(&d) {
-			t.Fatalf("cursor yields more than the Reader's %d records", len(recs))
+		if c.Next(&e) {
+			t.Fatalf("cursor yields more than the Reader's %d records", r.Count())
 		}
 	})
 }

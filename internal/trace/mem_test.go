@@ -7,17 +7,16 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"reflect"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
 	"clustervp/internal/isa"
 	"clustervp/internal/program"
 	"clustervp/internal/trace"
-	"clustervp/internal/trace/tracetest"
 	"clustervp/internal/workload"
 )
 
@@ -104,13 +103,14 @@ func TestMemTraceBudgetFallback(t *testing.T) {
 	}
 }
 
-// TestMemTraceLayoutExact pins the load-values-only layout's size on
-// every kernel at scale 2: the load column's capacity equals its
-// length, SizeBytes is exactly what it holds plus the fixed name and
-// code charge, and the suite averages at most 1.2 bytes a record (8 for
-// each load value, about one record in eight a load, plus the code).
+// TestMemTraceLayoutExact pins the load-column layout's size on every
+// kernel at scale 2: the column's capacity equals its length, SizeBytes
+// is exactly what it holds plus the fixed name and code charge, and the
+// suite averages at most 0.5 bytes a record both in memory and on disk
+// (a byte or two for each load's per-PC delta, about one record in
+// eight a load, plus the code).
 func TestMemTraceLayoutExact(t *testing.T) {
-	var records, bytes int64
+	var records, bytes, disk int64
 	for _, k := range workload.Names() {
 		data, want := encodeKernel(t, k, 2)
 		mt, err := trace.ReadMem(newReader(t, data))
@@ -129,21 +129,22 @@ func TestMemTraceLayoutExact(t *testing.T) {
 		}
 		records += int64(len(want))
 		bytes += mt.SizeBytes()
+		disk += int64(len(data))
 	}
-	perRecord := float64(bytes) / float64(records)
-	t.Logf("%d records, %.2f bytes a record", records, perRecord)
-	if perRecord > 1.2 {
-		t.Errorf("suite averages %.2f bytes a record, want at most 1.2", perRecord)
+	perRecord, onDisk := float64(bytes)/float64(records), float64(disk)/float64(records)
+	t.Logf("%d records, %.3f bytes a record in memory, %.3f on disk", records, perRecord, onDisk)
+	if perRecord > 0.5 || onDisk > 0.5 {
+		t.Errorf("suite averages %.3f bytes a record in memory and %.3f on disk, want at most 0.5", perRecord, onDisk)
 	}
 }
 
 // TestMemTraceRefusedBeforeAlloc: a budget below the fixed name and
 // code charge gets ErrNoMemForm before any record is decoded, having
-// allocated less than the load column would hold. A budget one value
+// allocated less than the load column would hold. A budget one byte
 // short of the load column gets ErrNoMemForm too: the column grows only
 // while the old and the new one fit the budget, so besides what the
 // Reader allocates to stream the records, the refusal allocates at
-// most twice the budget's room for load values.
+// most twice the budget's room for the column.
 func TestMemTraceRefusedBeforeAlloc(t *testing.T) {
 	data, _ := encodeKernel(t, "cjpeg", 1)
 	mt, err := trace.ReadMem(newReader(t, data))
@@ -181,79 +182,117 @@ func TestMemTraceRefusedBeforeAlloc(t *testing.T) {
 		for r.Next(&d) {
 		}
 	})
-	budget := mt.SizeBytes() - 8
+	budget := mt.SizeBytes() - 1
 	r = newReader(t, data)
 	got = allocated(func() { _, err = trace.ReadMemCapped(r, budget) })
 	if !errors.Is(err, trace.ErrNoMemForm) {
-		t.Fatalf("budget one value short of the load column: got %v, want ErrNoMemForm", err)
+		t.Fatalf("budget one byte short of the load column: got %v, want ErrNoMemForm", err)
 	}
 	if limit := stream + 2*uint64(budget-fixed) + 1<<10; got > limit {
 		t.Errorf("refusal allocated %d bytes, want at most %d (stream %d + twice the room)", got, limit, stream)
 	}
 }
 
-// TestMemTraceNeedsEndBlockCount: without a readable record count at
-// the end of a random-access input there is no in-memory form, though
-// the Reader streams the same bytes; a count that does not match the
-// records fails as the Reader fails.
+// TestMemTraceNeedsEndBlockCount: the end block's record count is
+// checked. A random-access input whose count passes the record cap is
+// refused by NewReader, before any record is re-executed, and so by
+// Store.Put; a count that does not match the records, or bytes after
+// the end block, fail ReadMem as they fail the Reader. The in-memory
+// form does not need the count before decoding: a Reader over an input
+// that is not random access gives the same MemTrace. A Reader already
+// read from has lost its first block and gives none.
 func TestMemTraceNeedsEndBlockCount(t *testing.T) {
 	data, want := encodeKernel(t, "rawcaudio", 1)
-	noMem := map[string]*trace.Reader{
-		"trailing bytes": newReader(t, append(append([]byte(nil), data...), 0, 0)),
+	var enc [binary.MaxVarintLen64]byte
+	tail := 1 + binary.PutUvarint(enc[:], uint64(len(want))) + 4
+	claiming := func(n uint64) []byte {
+		claim := binary.AppendUvarint(nil, n)
+		doctored := append(append(append([]byte(nil), data[:len(data)-tail]...), 0), claim...)
+		return binary.LittleEndian.AppendUint32(doctored, crc32.ChecksumIEEE(claim))
 	}
+	for name, bad := range map[string][]byte{
+		"trailing bytes":  append(append([]byte(nil), data...), 0, 0),
+		"one record more": claiming(uint64(len(want) + 1)),
+	} {
+		if _, err := trace.ReadMem(newReader(t, bad)); !errors.Is(err, trace.ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	over := claiming(trace.MaxRecords + 1)
+	if _, err := trace.NewReader(bytes.NewReader(over)); !errors.Is(err, trace.ErrCorrupt) {
+		t.Errorf("end block claiming %d records: got %v, want ErrCorrupt", trace.MaxRecords+1, err)
+	}
+	st, err := trace.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Put(bytes.NewReader(over)); !errors.Is(err, trace.ErrCorrupt) {
+		t.Errorf("Put of a claim over the cap: got %v, want ErrCorrupt", err)
+	}
+
 	stream, err := trace.NewReader(io.MultiReader(bytes.NewReader(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	noMem["not random access"] = stream
-	for name, r := range noMem {
-		if _, err := trace.ReadMem(r); !errors.Is(err, trace.ErrNoMemForm) {
-			t.Errorf("%s: got %v, want ErrNoMemForm", name, err)
-		}
+	mt, err := trace.ReadMem(stream)
+	if err != nil {
+		t.Fatalf("not random access: %v", err)
+	}
+	if got := collect(t, mt.NewCursor()); !reflect.DeepEqual(got, want) {
+		t.Error("not random access: the cursor's records differ from the Executor's")
 	}
 
-	// Rewrite the end block to claim one record more.
-	var enc [binary.MaxVarintLen64]byte
-	tail := 1 + binary.PutUvarint(enc[:], uint64(len(want))) + 4
-	claim := binary.AppendUvarint(nil, uint64(len(want)+1))
-	doctored := append(append(append([]byte(nil), data[:len(data)-tail]...), 0), claim...)
-	doctored = binary.LittleEndian.AppendUint32(doctored, crc32.ChecksumIEEE(claim))
-	if _, err := trace.ReadMem(newReader(t, doctored)); !errors.Is(err, trace.ErrCorrupt) {
-		t.Errorf("end block claiming %d of %d records: got %v, want ErrCorrupt", len(want)+1, len(want), err)
-	}
-}
-
-// TestMemTraceOffModelStreams: a valid trace with a record that
-// re-executing the code does not give has no in-memory form, and the
-// refusal names the field that is off. So does a Reader that has
-// already yielded a record, whose first record is not record 0.
-func TestMemTraceOffModelStreams(t *testing.T) {
-	for field, build := range tracetest.OffModel {
-		data, err := build()
-		if err != nil {
-			t.Fatalf("%s: %v", field, err)
-		}
-		r := newReader(t, data)
-		var d trace.DynInst
-		for r.Next(&d) {
-		}
-		if err := r.Err(); err != nil {
-			t.Fatalf("%s: the Reader must decode the seed: %v", field, err)
-		}
-		_, err = trace.ReadMem(newReader(t, data))
-		if !errors.Is(err, trace.ErrNoMemForm) {
-			t.Errorf("%s off the model: got %v, want ErrNoMemForm", field, err)
-		} else if !strings.Contains(err.Error(), ": "+field+" ") {
-			t.Errorf("%s off the model: the refusal %q names another field", field, err)
-		}
-	}
-
-	data, _ := encodeKernel(t, "rawcaudio", 1)
 	r := newReader(t, data)
 	var d trace.DynInst
 	r.Next(&d)
-	if _, err := trace.ReadMem(r); !errors.Is(err, trace.ErrNoMemForm) || !strings.Contains(err.Error(), ": seq ") {
-		t.Errorf("a Reader already read from: got %v, want ErrNoMemForm on seq", err)
+	if _, err := trace.ReadMem(r); err == nil {
+		t.Error("ReadMem of a Reader already read from succeeded")
+	}
+}
+
+// TestUnexecutableTracesAreCorrupt: a container whose every CRC holds
+// but whose records cannot be re-executed from its code and load column
+// fails with ErrCorrupt wherever it is read: streamed by the Reader
+// from a random-access input or not, decoded by ReadMem, and uploaded
+// to a Store, which publishes nothing.
+func TestUnexecutableTracesAreCorrupt(t *testing.T) {
+	st, err := trace.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := func(src io.Reader) error {
+		r, err := trace.NewReader(src)
+		if err != nil {
+			return err
+		}
+		var d trace.DynInst
+		for r.Next(&d) {
+		}
+		return r.Err()
+	}
+	for _, u := range unexecutable {
+		readMem := func() error {
+			r, err := trace.NewReader(bytes.NewReader(u.data))
+			if err == nil {
+				_, err = trace.ReadMem(r)
+			}
+			return err
+		}
+		_, _, putErr := st.Put(bytes.NewReader(u.data))
+		for how, err := range map[string]error{
+			"Reader":        drain(bytes.NewReader(u.data)),
+			"stream Reader": drain(io.MultiReader(bytes.NewReader(u.data))),
+			"ReadMem":       readMem(),
+			"Store.Put":     putErr,
+		} {
+			if !errors.Is(err, trace.ErrCorrupt) {
+				t.Errorf("%s, %s: got %v, want ErrCorrupt", u.name, how, err)
+			}
+		}
+	}
+	if ents, err := os.ReadDir(st.Dir()); err != nil || len(ents) != 0 {
+		t.Errorf("the store holds %d entries after refused uploads (%v)", len(ents), err)
 	}
 }
 

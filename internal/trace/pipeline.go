@@ -6,7 +6,7 @@ import "sync"
 // does not hold: a single decode-ahead goroutine drains the underlying
 // Reader batch by batch into a bounded ring of recycled record buffers
 // while the simulation consumes the previous batch. CRC checks and
-// varint-delta decoding thus run concurrently with the timing loop, and
+// re-execution thus run concurrently with the timing loop, and
 // the fixed batch pool means steady-state operation allocates nothing.
 //
 // Record order and content are exactly the Reader's — batching only

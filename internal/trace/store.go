@@ -4,8 +4,9 @@ package trace
 // named by the SHA-256 of their bytes, so a digest uniquely identifies
 // trace content across processes, replicas and uploads — the property
 // the clusterd service's job fingerprints and result cache build on.
-// Put verifies the full container (header and per-block CRCs, trailer
-// record count) before publishing, so the store never holds a trace
+// Put verifies the full container (header and per-block CRCs, the
+// trailer's record count, every record re-executed from the code and
+// its load column) before publishing, so the store never holds a trace
 // that would fail replay.
 
 import (
@@ -40,8 +41,10 @@ func NewStore(dir string) (*Store, error) {
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
 
-// ParseDigest validates a digest string ("sha256:<64 hex>") and
-// returns the bare hex component.
+// ParseDigest validates a digest string ("sha256:<64 lowercase hex>")
+// and returns the bare hex component. Uppercase hex is refused: the
+// store names its files in lowercase, and one content must have one
+// digest, or the fleet would shard its two spellings apart.
 func ParseDigest(digest string) (string, error) {
 	hexPart, ok := strings.CutPrefix(digest, DigestPrefix)
 	if !ok {
@@ -49,6 +52,9 @@ func ParseDigest(digest string) (string, error) {
 	}
 	if len(hexPart) != sha256.Size*2 {
 		return "", fmt.Errorf("trace: digest %q has %d hex digits, want %d", digest, len(hexPart), sha256.Size*2)
+	}
+	if strings.ToLower(hexPart) != hexPart {
+		return "", fmt.Errorf("trace: digest %q is not lowercase hexadecimal", digest)
 	}
 	if _, err := hex.DecodeString(hexPart); err != nil {
 		return "", fmt.Errorf("trace: digest %q is not hexadecimal", digest)
@@ -79,8 +85,9 @@ func (s *Store) Has(digest string) bool {
 
 // Put streams a .cvt container into the store: the bytes are hashed
 // while being spooled to a temp file, the temp file is then decoded
-// end to end (every CRC checked) to prove it replays, and only a fully
-// valid trace is renamed into place. It returns the content digest and
+// end to end (every CRC checked, every record re-executed, at most
+// maxRecords of them) to prove it replays, and only a fully valid
+// trace is renamed into place. It returns the content digest and
 // the record count. Storing bytes already present is a cheap no-op
 // beyond the verification read.
 func (s *Store) Put(r io.Reader) (digest string, records uint64, err error) {
@@ -138,7 +145,9 @@ func (s *Store) Open(digest string) (*FileReader, error) {
 }
 
 // verifyFile decodes the spooled container from the start, checking
-// every CRC, and returns the record count.
+// every CRC and re-executing every record, and returns the record
+// count. NewReader refuses an end block claiming more than maxRecords
+// before any record is re-executed.
 func verifyFile(f *os.File) (uint64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, err

@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -110,7 +111,6 @@ func TestParseDigest(t *testing.T) {
 	upper := strings.Repeat("AB", 32)
 	valid := []struct{ in, wantHex string }{
 		{DigestPrefix + lower, lower},
-		{DigestPrefix + upper, upper}, // hex is case-insensitive
 	}
 	for _, tc := range valid {
 		got, err := ParseDigest(tc.in)
@@ -127,6 +127,8 @@ func TestParseDigest(t *testing.T) {
 		DigestPrefix + lower[:63],               // one digit short
 		DigestPrefix + lower + "a",              // one digit long
 		DigestPrefix + strings.Repeat("zz", 32), // not hexadecimal
+		DigestPrefix + upper,                    // one spelling per content: lowercase
+		DigestPrefix + "A" + lower[1:],          // one uppercase digit
 		DigestPrefix + "../" + lower[:61],       // traversal attempt
 	}
 	for _, in := range invalid {
@@ -134,4 +136,35 @@ func TestParseDigest(t *testing.T) {
 			t.Errorf("ParseDigest(%q) accepted: %q", in, got)
 		}
 	}
+}
+
+// FuzzParseDigest: ParseDigest never panics; a digest it accepts is
+// DigestPrefix and the 64 lowercase hex digits of 32 bytes, so each
+// content has exactly one accepted spelling; and the file Store.Path
+// names for it lies directly in the store directory. Run it with
+//
+//	go test -fuzz=FuzzParseDigest ./internal/trace
+//
+// The seed corpus in testdata/fuzz/FuzzParseDigest holds a valid
+// digest, its uppercase and mixed-case spellings, a path traversal, a
+// wrong algorithm tag, a short and a long digest and non-hex digits.
+func FuzzParseDigest(f *testing.F) {
+	st := &Store{dir: f.TempDir()}
+	f.Fuzz(func(t *testing.T, digest string) {
+		hexPart, err := ParseDigest(digest)
+		if err != nil {
+			return
+		}
+		raw, derr := hex.DecodeString(hexPart)
+		if derr != nil || len(raw) != sha256.Size || DigestPrefix+hex.EncodeToString(raw) != digest {
+			t.Fatalf("ParseDigest(%q) accepted hex %q, which is not the one spelling of its bytes", digest, hexPart)
+		}
+		path, err := st.Path(digest)
+		if err != nil {
+			t.Fatalf("Path(%q) refuses a digest ParseDigest accepts: %v", digest, err)
+		}
+		if filepath.Dir(path) != filepath.Clean(st.Dir()) {
+			t.Fatalf("Path(%q) = %q, outside the store %q", digest, path, st.Dir())
+		}
+	})
 }
