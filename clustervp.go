@@ -176,8 +176,8 @@ func WriteKernelTrace(path, kernel string, scale int, seed uint64) (uint64, erro
 // the grid engine's replay path: the first replay of a distinct trace
 // decodes it once into the process-wide trace arena, later replays run
 // from that decoded form, and a trace past the arena's budget streams
-// from disk instead, so it never needs to fit in memory. Every path
-// produces byte-identical Results.
+// from its file through a Reader, one block at a time, so it never
+// needs to fit in memory. Every path produces byte-identical Results.
 func RunTraceFile(cfg Config, path string) (Results, error) {
 	return runner.Simulate(runner.Job{Config: cfg, Trace: path})
 }

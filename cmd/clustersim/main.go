@@ -14,7 +14,7 @@
 //	clustersim -kernel mpeg2enc -clusters 4 -commlat 4        # slow wires
 //	clustersim -kernel cjpeg -clusters 4 -topology mesh -paths 1
 //	clustersim -trace-in cjpeg.cvt -clusters 4 -vp stride     # replay a .cvt
-//	clustersim -kernel cjpeg -trace-out cjpeg.cvt             # record while simulating
+//	clustersim -kernel cjpeg -trace-out cjpeg.cvt             # simulate, then write the trace
 //	clustersim -kernel cjpeg -remote http://127.0.0.1:8090    # run on a clusterd server
 //	clustersim -kernel cjpeg -remote http://127.0.0.1:8090 \
 //	           -trace-out prof.json                           # + save the server-side timeline
@@ -27,8 +27,9 @@
 // tenant's API key with -api-key (or the CLUSTERSIM_API_KEY environment
 // variable, which keeps the key out of shell history).
 //
-// -trace-out is mode-sensitive: locally it records the instruction
-// stream as a .cvt container; with -remote it instead downloads the
+// -trace-out is mode-sensitive: locally it writes the kernel's
+// instruction stream as a .cvt container once the run succeeds (a
+// failed run writes nothing); with -remote it instead downloads the
 // job's server-side span timeline as Chrome trace-event JSON
 // (GET /v1/jobs/{id}/trace?format=chrome), ready to drop into
 // chrome://tracing or https://ui.perfetto.dev. The timeline is saved
@@ -53,10 +54,8 @@ import (
 
 	"clustervp"
 	"clustervp/internal/config"
-	"clustervp/internal/core"
 	"clustervp/internal/service"
 	"clustervp/internal/service/client"
-	"clustervp/internal/trace"
 )
 
 func main() {
@@ -307,43 +306,21 @@ func saveRemoteTimeline(ctx context.Context, c *client.Client, jobID, out string
 	return os.WriteFile(out, raw, 0o644)
 }
 
-// simulate routes the three instruction-stream modes: replay a .cvt
-// file, record one while simulating, or plain in-process synthesis.
+// simulate replays a .cvt file or synthesizes the kernel in-process.
+// A traceOut file is written only once the run has succeeded, by
+// executing the same kernel, scale and seed again, so it holds exactly
+// the stream the run consumed and a failed run leaves no file behind.
 func simulate(cfg clustervp.Config, kernel string, scale int, seed uint64, traceIn, traceOut string) (clustervp.Results, error) {
-	switch {
-	case traceIn != "":
+	if traceIn != "" {
 		return clustervp.RunTraceFile(cfg, traceIn)
-	case traceOut != "":
-		return recordAndRun(cfg, kernel, scale, seed, traceOut)
-	default:
-		prog, err := clustervp.BuildKernelSeeded(kernel, scale, seed)
-		if err != nil {
-			return clustervp.Results{}, err
-		}
-		return clustervp.RunProgram(cfg, prog)
 	}
-}
-
-// recordAndRun simulates the kernel while teeing the consumed
-// instruction stream into a .cvt file; trace.FileWriter provides the
-// atomic write, so a failed run leaves no partial trace.
-func recordAndRun(cfg clustervp.Config, kernel string, scale int, seed uint64, out string) (clustervp.Results, error) {
 	prog, err := clustervp.BuildKernelSeeded(kernel, scale, seed)
 	if err != nil {
 		return clustervp.Results{}, err
 	}
-	fw, err := trace.CreateFile(out, prog.Name, prog.Code)
-	if err != nil {
-		return clustervp.Results{}, err
+	res, err := clustervp.RunProgram(cfg, prog)
+	if err == nil && traceOut != "" {
+		_, err = clustervp.WriteKernelTrace(traceOut, kernel, scale, seed)
 	}
-	defer fw.Abort()
-	sim, err := core.NewFromSource(cfg, trace.Tee(trace.NewExecutor(prog), fw.Writer), prog.Name)
-	if err != nil {
-		return clustervp.Results{}, err
-	}
-	res, err := sim.Run()
-	if err != nil {
-		return res, err
-	}
-	return res, fw.Commit()
+	return res, err
 }

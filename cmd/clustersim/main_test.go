@@ -35,6 +35,25 @@ func TestSimulationErrorExitsNonZero(t *testing.T) {
 	}
 }
 
+// TestFailedRunWritesNoTraceOut: -trace-out writes its file only after
+// the run succeeds, so a run that exhausts its cycle budget exits 1 and
+// leaves nothing at the path or beside it.
+func TestFailedRunWritesNoTraceOut(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "cjpeg.cvt")
+	code, _, stderr := cli(t, "-kernel", "cjpeg", "-maxcycles", "10", "-trace-out", out)
+	if code != 1 {
+		t.Fatalf("failed run exited %d, want 1 (stderr: %s)", code, stderr)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Errorf("a failed run left %v in the output directory", ents)
+	}
+}
+
 // TestCorruptTraceExitsNonZero drives the same contract through the
 // trace-replay path: a truncated .cvt file fails mid-run with exit 1.
 func TestCorruptTraceExitsNonZero(t *testing.T) {

@@ -24,7 +24,7 @@ func TestFreshSimAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := trace.NewExecutor(k.Build(1))
+	src := trace.NewExecutor(k.Build(1, 0))
 	cfg := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
 	const sims = 10
 	var before, after runtime.MemStats
@@ -50,7 +50,7 @@ func TestSimResetAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := trace.NewExecutor(k.Build(1))
+	src := trace.NewExecutor(k.Build(1, 0))
 	cfg := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
 	s, err := NewFromSource(cfg, src, k.Name)
 	if err != nil {

@@ -22,7 +22,7 @@ func steadySimCfg(t testing.TB, cfg config.Config, scale int) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(cfg, k.Build(scale))
+	s, err := New(cfg, k.Build(scale, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPoolConservation(t *testing.T) {
 	for _, rob := range []int{64, 96, 128} {
 		cfg := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
 		cfg.ROBSize = rob
-		s, err := New(cfg, k.Build(1))
+		s, err := New(cfg, k.Build(1, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

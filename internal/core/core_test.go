@@ -104,10 +104,10 @@ func TestClusteringDegradesIPC(t *testing.T) {
 	// The fundamental result the whole paper builds on: clustered IPC is
 	// below centralized IPC (communication + narrower per-cluster issue).
 	k, _ := workload.ByName("gsmenc")
-	p := k.Build(1)
+	p := k.Build(1, 0)
 	ipc1 := run(t, config.Preset(1), p).IPC()
-	ipc2 := run(t, config.Preset(2), k.Build(1)).IPC()
-	ipc4 := run(t, config.Preset(4), k.Build(1)).IPC()
+	ipc2 := run(t, config.Preset(2), k.Build(1, 0)).IPC()
+	ipc4 := run(t, config.Preset(4), k.Build(1, 0)).IPC()
 	if !(ipc1 > ipc2 && ipc2 > ipc4) {
 		t.Errorf("expected IPC1 > IPC2 > IPC4, got %.3f / %.3f / %.3f", ipc1, ipc2, ipc4)
 	}
@@ -118,11 +118,11 @@ func TestClusteringDegradesIPC(t *testing.T) {
 
 func TestCommunicationOnlyWhenClustered(t *testing.T) {
 	k, _ := workload.ByName("cjpeg")
-	r1 := run(t, config.Preset(1), k.Build(1))
+	r1 := run(t, config.Preset(1), k.Build(1, 0))
 	if r1.Copies != 0 || r1.BusTransfers != 0 {
 		t.Errorf("centralized machine must not communicate: %d copies, %d transfers", r1.Copies, r1.BusTransfers)
 	}
-	r4 := run(t, config.Preset(4), k.Build(1))
+	r4 := run(t, config.Preset(4), k.Build(1, 0))
 	if r4.Copies == 0 || r4.BusTransfers == 0 {
 		t.Error("4-cluster machine must generate copies")
 	}
@@ -135,8 +135,8 @@ func TestValuePredictionReducesCommunication(t *testing.T) {
 	// The paper's central claim (Figure 3b): with the stride predictor
 	// and VPB steering, communications drop substantially.
 	k, _ := workload.ByName("gsmdec")
-	base := run(t, config.Preset(4), k.Build(1))
-	vp := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), k.Build(1))
+	base := run(t, config.Preset(4), k.Build(1, 0))
+	vp := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), k.Build(1, 0))
 	if vp.CommPerInstr() >= base.CommPerInstr() {
 		t.Errorf("VP should cut communication: base %.4f, vp %.4f", base.CommPerInstr(), vp.CommPerInstr())
 	}
@@ -147,8 +147,8 @@ func TestValuePredictionReducesCommunication(t *testing.T) {
 
 func TestValuePredictionHelpsClusteredIPC(t *testing.T) {
 	k, _ := workload.ByName("gsmdec")
-	base := run(t, config.Preset(4), k.Build(1))
-	vp := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), k.Build(1))
+	base := run(t, config.Preset(4), k.Build(1, 0))
+	vp := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), k.Build(1, 0))
 	if vp.IPC() <= base.IPC() {
 		t.Errorf("VP should raise 4-cluster IPC on a serial kernel: base %.3f, vp %.3f", base.IPC(), vp.IPC())
 	}
@@ -156,8 +156,8 @@ func TestValuePredictionHelpsClusteredIPC(t *testing.T) {
 
 func TestPerfectPredictionUpperBound(t *testing.T) {
 	k, _ := workload.ByName("cjpeg")
-	vp := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), k.Build(1))
-	perfect := run(t, config.Preset(4).WithVP(config.VPPerfect).WithSteering(config.SteerVPB), k.Build(1))
+	vp := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), k.Build(1, 0))
+	perfect := run(t, config.Preset(4).WithVP(config.VPPerfect).WithSteering(config.SteerVPB), k.Build(1, 0))
 	if perfect.IPC() < vp.IPC()*0.98 {
 		t.Errorf("perfect prediction (%.3f) must not lose to stride (%.3f)", perfect.IPC(), vp.IPC())
 	}
@@ -170,12 +170,12 @@ func TestMispredictionsRecoverCorrectly(t *testing.T) {
 	// pgpenc has erratic values: the stride predictor will mispredict;
 	// the run must still complete with the exact instruction count.
 	k, _ := workload.ByName("pgpenc")
-	e := trace.NewExecutor(k.Build(1))
+	e := trace.NewExecutor(k.Build(1, 0))
 	want, err := e.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), k.Build(1))
+	r := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), k.Build(1, 0))
 	if r.Instructions != want {
 		t.Errorf("committed %d, functional count %d", r.Instructions, want)
 	}
@@ -192,7 +192,7 @@ func TestLatencySensitivity(t *testing.T) {
 	k, _ := workload.ByName("epicenc")
 	var prev float64
 	for i, lat := range []int{1, 2, 4} {
-		r := run(t, config.Preset(4).WithComm(lat, 0), k.Build(1))
+		r := run(t, config.Preset(4).WithComm(lat, 0), k.Build(1, 0))
 		if i > 0 && r.IPC() > prev*1.005 {
 			t.Errorf("latency %d: IPC %.3f should not exceed latency %d IPC %.3f", lat, r.IPC(), lat/2, prev)
 		}
@@ -203,8 +203,8 @@ func TestLatencySensitivity(t *testing.T) {
 func TestBandwidthLimitSmallEffect(t *testing.T) {
 	// Figure 4b: one path per cluster costs only a few percent.
 	k, _ := workload.ByName("djpeg")
-	unb := run(t, config.Preset(4), k.Build(1))
-	one := run(t, config.Preset(4).WithComm(1, 1), k.Build(1))
+	unb := run(t, config.Preset(4), k.Build(1, 0))
+	one := run(t, config.Preset(4).WithComm(1, 1), k.Build(1, 0))
 	if one.IPC() > unb.IPC()*1.001 {
 		t.Errorf("limited bandwidth cannot beat unbounded: %.3f vs %.3f", one.IPC(), unb.IPC())
 	}
@@ -220,10 +220,10 @@ func TestTwoCycleRenameSmallCost(t *testing.T) {
 	// §3.3: a 2-cycle rename/steer stage degrades IPC by under ~2-3%.
 	k, _ := workload.ByName("gsmenc")
 	cfg := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
-	r1 := run(t, cfg, k.Build(1))
+	r1 := run(t, cfg, k.Build(1, 0))
 	cfg2 := cfg
 	cfg2.RenameCycles = 2
-	r2 := run(t, cfg2, k.Build(1))
+	r2 := run(t, cfg2, k.Build(1, 0))
 	if r2.IPC() > r1.IPC() {
 		t.Errorf("deeper rename cannot help: %.3f vs %.3f", r2.IPC(), r1.IPC())
 	}
@@ -296,7 +296,7 @@ func TestAllWorkloadsAllConfigsComplete(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			e := trace.NewExecutor(k.Build(1))
+			e := trace.NewExecutor(k.Build(1, 0))
 			want, err := e.Run(0)
 			if err != nil {
 				t.Fatal(err)
@@ -307,7 +307,7 @@ func TestAllWorkloadsAllConfigsComplete(t *testing.T) {
 					if vp != config.VPNone {
 						cfg = cfg.WithSteering(config.SteerVPB)
 					}
-					r := run(t, cfg, k.Build(1))
+					r := run(t, cfg, k.Build(1, 0))
 					if r.Instructions != want {
 						t.Errorf("%s clusters=%d vp=%v: committed %d, want %d", k.Name, n, vp, r.Instructions, want)
 					}

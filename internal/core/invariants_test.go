@@ -19,8 +19,8 @@ func TestDeterminism(t *testing.T) {
 	// statistics; the simulator has no hidden nondeterminism.
 	k, _ := workload.ByName("cjpeg")
 	cfg := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
-	a := run(t, cfg, k.Build(1))
-	b := run(t, cfg, k.Build(1))
+	a := run(t, cfg, k.Build(1, 0))
+	b := run(t, cfg, k.Build(1, 0))
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("runs differ:\n%+v\n%+v", a, b)
 	}
@@ -30,18 +30,18 @@ func TestInvalidConfigRejected(t *testing.T) {
 	k, _ := workload.ByName("cjpeg")
 	bad := config.Preset(4)
 	bad.CommLatency = 0
-	if _, err := New(bad, k.Build(1)); err == nil {
+	if _, err := New(bad, k.Build(1, 0)); err == nil {
 		t.Error("zero comm latency must be rejected")
 	}
 	bad2 := config.Preset(4)
 	bad2.Clusters[0].FUs.IntMul = 99
-	if _, err := New(bad2, k.Build(1)); err == nil {
+	if _, err := New(bad2, k.Build(1, 0)); err == nil {
 		t.Error("mul units exceeding int units must be rejected")
 	}
 	bad3 := config.Preset(2)
 	bad3.VPTableEntries = 1000
 	bad3.VP = config.VPStride
-	if _, err := New(bad3, k.Build(1)); err == nil {
+	if _, err := New(bad3, k.Build(1, 0)); err == nil {
 		t.Error("non-power-of-two VP table must be rejected")
 	}
 }
@@ -50,7 +50,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 	k, _ := workload.ByName("gsmenc")
 	cfg := config.Preset(4)
 	cfg.MaxCycles = 100
-	s, err := New(cfg, k.Build(1))
+	s, err := New(cfg, k.Build(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestBusSaturationStallsButCompletes(t *testing.T) {
 	// at high latency: bus stalls must appear, and not a single
 	// instruction may be lost.
 	k, _ := workload.ByName("gsmenc")
-	e := trace.NewExecutor(k.Build(1))
+	e := trace.NewExecutor(k.Build(1, 0))
 	want, err := e.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := run(t, config.Preset(4).WithComm(4, 1), k.Build(1))
+	r := run(t, config.Preset(4).WithComm(4, 1), k.Build(1, 0))
 	if r.Instructions != want {
 		t.Errorf("committed %d, want %d", r.Instructions, want)
 	}
@@ -102,7 +102,7 @@ func TestCopiesEqualTransfersWithoutVP(t *testing.T) {
 	// Without value prediction every copy crosses a wire exactly once
 	// unless it was reissued (each reissue re-reserves the bus).
 	k, _ := workload.ByName("djpeg")
-	r := run(t, config.Preset(4), k.Build(1))
+	r := run(t, config.Preset(4), k.Build(1, 0))
 	if r.Reissues != 0 {
 		// No VP, no speculation on values: reissues must be zero.
 		t.Errorf("reissues without VP = %d, want 0", r.Reissues)
@@ -120,7 +120,7 @@ func TestTransfersBoundedWithVP(t *testing.T) {
 	// forwards (+ reissued copies); they can never exceed copies plus
 	// verification-copies plus reissues.
 	k, _ := workload.ByName("rawcaudio")
-	r := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), k.Build(1))
+	r := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB), k.Build(1, 0))
 	if r.BusTransfers < r.Copies {
 		t.Errorf("transfers (%d) below copies (%d)", r.BusTransfers, r.Copies)
 	}
@@ -132,7 +132,7 @@ func TestTransfersBoundedWithVP(t *testing.T) {
 
 func TestAlternativeSteeringsComplete(t *testing.T) {
 	k, _ := workload.ByName("epicdec")
-	e := trace.NewExecutor(k.Build(1))
+	e := trace.NewExecutor(k.Build(1, 0))
 	want, err := e.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestAlternativeSteeringsComplete(t *testing.T) {
 	for _, kind := range []config.SteeringKind{
 		config.SteerRoundRobin, config.SteerLoadOnly, config.SteerDepFIFO,
 	} {
-		r := run(t, config.Preset(4).WithSteering(kind).WithVP(config.VPStride), k.Build(1))
+		r := run(t, config.Preset(4).WithSteering(kind).WithVP(config.VPStride), k.Build(1, 0))
 		if r.Instructions != want {
 			t.Errorf("%v: committed %d, want %d", kind, r.Instructions, want)
 		}
@@ -154,8 +154,8 @@ func TestAlternativeSteeringsLoseToPaperScheme(t *testing.T) {
 	// The §5 comparison: communication-blind steering must generate far
 	// more traffic than the paper's heuristic.
 	k, _ := workload.ByName("gsmenc")
-	base := run(t, config.Preset(4), k.Build(1))
-	rr := run(t, config.Preset(4).WithSteering(config.SteerRoundRobin), k.Build(1))
+	base := run(t, config.Preset(4), k.Build(1, 0))
+	rr := run(t, config.Preset(4).WithSteering(config.SteerRoundRobin), k.Build(1, 0))
 	if rr.CommPerInstr() < base.CommPerInstr()*1.3 {
 		t.Errorf("round robin comm %.3f should far exceed baseline %.3f",
 			rr.CommPerInstr(), base.CommPerInstr())
@@ -167,12 +167,12 @@ func TestAlternativeSteeringsLoseToPaperScheme(t *testing.T) {
 
 func TestTwoDeltaPredictorRuns(t *testing.T) {
 	k, _ := workload.ByName("cjpeg")
-	e := trace.NewExecutor(k.Build(1))
+	e := trace.NewExecutor(k.Build(1, 0))
 	want, err := e.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := run(t, config.Preset(4).WithVP(config.VPTwoDelta).WithSteering(config.SteerVPB), k.Build(1))
+	r := run(t, config.Preset(4).WithVP(config.VPTwoDelta).WithSteering(config.SteerVPB), k.Build(1, 0))
 	if r.Instructions != want {
 		t.Errorf("committed %d, want %d", r.Instructions, want)
 	}
@@ -183,12 +183,12 @@ func TestTwoDeltaPredictorRuns(t *testing.T) {
 
 func TestTinyVPTableStillCorrect(t *testing.T) {
 	k, _ := workload.ByName("g721enc")
-	e := trace.NewExecutor(k.Build(1))
+	e := trace.NewExecutor(k.Build(1, 0))
 	want, err := e.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB).WithVPTable(16), k.Build(1))
+	r := run(t, config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB).WithVPTable(16), k.Build(1, 0))
 	if r.Instructions != want {
 		t.Errorf("committed %d, want %d (16-entry table)", r.Instructions, want)
 	}
@@ -198,7 +198,7 @@ func TestAllTopologiesCommitExactCount(t *testing.T) {
 	// The topology changes timing only: under any fabric, at any
 	// bandwidth, exactly the trace's instruction count must commit.
 	k, _ := workload.ByName("djpeg")
-	e := trace.NewExecutor(k.Build(1))
+	e := trace.NewExecutor(k.Build(1, 0))
 	want, err := e.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestAllTopologiesCommitExactCount(t *testing.T) {
 		for _, paths := range []int{0, 1} {
 			cfg := config.Preset(4).WithComm(1, paths).WithTopology(topo).
 				WithVP(config.VPStride).WithSteering(config.SteerVPB)
-			r := run(t, cfg, k.Build(1))
+			r := run(t, cfg, k.Build(1, 0))
 			if r.Instructions != want {
 				t.Errorf("%v paths=%d: committed %d, want %d", topo, paths, r.Instructions, want)
 			}
@@ -228,8 +228,8 @@ func TestAllTopologiesCommitExactCount(t *testing.T) {
 // the unbounded-bus bound.
 func TestRingSlowerThanUnboundedBus(t *testing.T) {
 	k, _ := workload.ByName("gsmenc")
-	unbounded := run(t, config.Preset(4), k.Build(1))
-	ring := run(t, config.Preset(4).WithComm(1, 1).WithTopology(interconnect.KindRing), k.Build(1))
+	unbounded := run(t, config.Preset(4), k.Build(1, 0))
+	ring := run(t, config.Preset(4).WithComm(1, 1).WithTopology(interconnect.KindRing), k.Build(1, 0))
 	if ring.Cycles < unbounded.Cycles {
 		t.Errorf("bounded ring (%d cycles) cannot beat the unbounded bus (%d cycles)",
 			ring.Cycles, unbounded.Cycles)
@@ -245,7 +245,7 @@ func TestAsymmetricMachinesCommitExactCount(t *testing.T) {
 	// instruction count must commit, and the per-cluster dispatch
 	// breakdown must account for every instruction.
 	k, _ := workload.ByName("cjpeg")
-	e := trace.NewExecutor(k.Build(1))
+	e := trace.NewExecutor(k.Build(1, 0))
 	want, err := e.Run(0)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestAsymmetricMachinesCommitExactCount(t *testing.T) {
 			if kind == config.SteerVPB || kind == config.SteerModified {
 				cfg = cfg.WithVP(config.VPStride)
 			}
-			r := run(t, cfg, k.Build(1))
+			r := run(t, cfg, k.Build(1, 0))
 			if r.Instructions != want {
 				t.Errorf("specs %d, %v: committed %d, want %d", si, kind, r.Instructions, want)
 			}
@@ -291,8 +291,8 @@ func TestBypassLatencySlowsCluster(t *testing.T) {
 	slowSpec := config.DefaultSpec(2, 16)
 	slowSpec.BypassLatency = 2
 	slow := config.FromSpecs(slowSpec, slowSpec)
-	rf := run(t, fast, k.Build(1))
-	rs := run(t, slow, k.Build(1))
+	rf := run(t, fast, k.Build(1, 0))
+	rs := run(t, slow, k.Build(1, 0))
 	if rs.Cycles <= rf.Cycles {
 		t.Errorf("bypass latency 2 cannot be free: %d cycles vs %d", rs.Cycles, rf.Cycles)
 	}
@@ -309,8 +309,8 @@ func TestRegPortsGateIssue(t *testing.T) {
 	capped8 := config.DefaultSpec(8, 64)
 	capped8.RegPorts = 2
 	capped := config.FromSpecs(capped8)
-	ro := run(t, open, k.Build(1))
-	rc := run(t, capped, k.Build(1))
+	ro := run(t, open, k.Build(1, 0))
+	rc := run(t, capped, k.Build(1, 0))
 	if rc.Cycles <= ro.Cycles {
 		t.Errorf("2 register ports on an 8-wide cluster cannot be free: %d cycles vs %d", rc.Cycles, ro.Cycles)
 	}
@@ -321,7 +321,7 @@ func TestRegPortsGateIssue(t *testing.T) {
 
 func TestImbalanceMetricZeroOnOneCluster(t *testing.T) {
 	k, _ := workload.ByName("cjpeg")
-	r := run(t, config.Preset(1), k.Build(1))
+	r := run(t, config.Preset(1), k.Build(1, 0))
 	if r.Imbalance() != 0 {
 		t.Errorf("centralized machine cannot be imbalanced, got %v", r.Imbalance())
 	}
@@ -332,13 +332,13 @@ func TestRetireOrderExactCount(t *testing.T) {
 	// 2 clusters with limited bandwidth: the reissue machinery must
 	// neither lose nor duplicate instructions.
 	k, _ := workload.ByName("pgpenc")
-	e := trace.NewExecutor(k.Build(1))
+	e := trace.NewExecutor(k.Build(1, 0))
 	want, err := e.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := config.Preset(2).WithVP(config.VPStride).WithSteering(config.SteerModified).WithComm(2, 1).WithVPTable(16)
-	r := run(t, cfg, k.Build(1))
+	r := run(t, cfg, k.Build(1, 0))
 	if r.Instructions != want {
 		t.Errorf("committed %d, want %d", r.Instructions, want)
 	}
@@ -346,8 +346,8 @@ func TestRetireOrderExactCount(t *testing.T) {
 
 func TestPerfectCachesFasterThanReal(t *testing.T) {
 	k, _ := workload.ByName("epicenc")
-	real := run(t, config.Preset(1), k.Build(1))
-	ideal := run(t, perfectCache(config.Preset(1)), k.Build(1))
+	real := run(t, config.Preset(1), k.Build(1, 0))
+	ideal := run(t, perfectCache(config.Preset(1)), k.Build(1, 0))
 	if ideal.IPC() < real.IPC() {
 		t.Errorf("perfect caches (%.3f) cannot lose to real caches (%.3f)", ideal.IPC(), real.IPC())
 	}
@@ -361,8 +361,8 @@ func TestHigherScaleSameIPCBallpark(t *testing.T) {
 	// the workload scale should not move IPC more than a few percent.
 	k, _ := workload.ByName("gsmdec")
 	cfg := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
-	r1 := run(t, cfg, k.Build(1))
-	r2 := run(t, cfg, k.Build(2))
+	r1 := run(t, cfg, k.Build(1, 0))
+	r2 := run(t, cfg, k.Build(2, 0))
 	ratio := r2.IPC() / r1.IPC()
 	if ratio < 0.9 || ratio > 1.1 {
 		t.Errorf("IPC drifted with scale: %.3f -> %.3f", r1.IPC(), r2.IPC())
@@ -377,10 +377,10 @@ func TestFPCoverageExtension(t *testing.T) {
 	// prediction is FP values. Extending coverage to FP operands must
 	// drive the residue toward zero on FP-heavy kernels.
 	k, _ := workload.ByName("rasta")
-	intOnly := run(t, config.Preset(4).WithVP(config.VPPerfect).WithSteering(config.SteerVPB), k.Build(1))
+	intOnly := run(t, config.Preset(4).WithVP(config.VPPerfect).WithSteering(config.SteerVPB), k.Build(1, 0))
 	cfg := config.Preset(4).WithVP(config.VPPerfect).WithSteering(config.SteerVPB)
 	cfg.VPCoverFP = true
-	withFP := run(t, cfg, k.Build(1))
+	withFP := run(t, cfg, k.Build(1, 0))
 	if withFP.CommPerInstr() >= intOnly.CommPerInstr() {
 		t.Errorf("FP coverage should cut residual comm: %.4f -> %.4f",
 			intOnly.CommPerInstr(), withFP.CommPerInstr())
@@ -390,14 +390,14 @@ func TestFPCoverageExtension(t *testing.T) {
 	}
 	// Stride-with-FP must still commit exactly the right count even
 	// though FP bit patterns rarely stride-predict.
-	e := trace.NewExecutor(k.Build(1))
+	e := trace.NewExecutor(k.Build(1, 0))
 	want, err := e.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
 	cfg2.VPCoverFP = true
-	r := run(t, cfg2, k.Build(1))
+	r := run(t, cfg2, k.Build(1, 0))
 	if r.Instructions != want {
 		t.Errorf("stride+fp committed %d, want %d", r.Instructions, want)
 	}

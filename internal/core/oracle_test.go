@@ -83,7 +83,7 @@ func TestIssueSelectorOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		scale := 1 + rng.Intn(2)
-		prog := k.Build(scale)
+		prog := k.Build(scale, 0)
 		name := fmt.Sprintf("round%02d_%s_x%d_%dc", i, k.Name, scale, nc)
 		t.Run(name, func(t *testing.T) {
 			bitmap := runSelector(t, cfg, prog, false)
@@ -107,7 +107,7 @@ func TestIssueSelectorOracleSteady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := k.Build(20)
+	prog := k.Build(20, 0)
 	for _, cfg := range []config.Config{
 		config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB),
 		asymCfg(),

@@ -17,7 +17,7 @@ func TestPhaseCyclesSumToTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := k.Build(2)
+	prog := k.Build(2, 0)
 	for _, n := range []int{1, 4} {
 		cfg := config.Preset(n)
 		s, err := New(cfg, prog)
@@ -48,7 +48,7 @@ func TestPhaseCyclesResetZeroes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := k.Build(1)
+	prog := k.Build(1, 0)
 	cfg := config.Preset(2)
 	s, err := New(cfg, prog)
 	if err != nil {

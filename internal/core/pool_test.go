@@ -42,9 +42,9 @@ func TestSimResetPoolDeterminism(t *testing.T) {
 
 	reused := &Sim{}
 	for i, cfg := range cfgs {
-		prog := k.Build(1)
+		prog := k.Build(1, 0)
 		want := run(t, cfg, prog)
-		if err := reused.Reset(cfg, trace.NewExecutor(k.Build(1)), prog.Name); err != nil {
+		if err := reused.Reset(cfg, trace.NewExecutor(k.Build(1, 0)), prog.Name); err != nil {
 			t.Fatalf("cfg %d: Reset: %v", i, err)
 		}
 		got, err := reused.Run()
@@ -66,7 +66,7 @@ func TestSimResetPoolResultsNotAliased(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config.Preset(2)
-	s, err := New(cfg, k.Build(1))
+	s, err := New(cfg, k.Build(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSimResetPoolResultsNotAliased(t *testing.T) {
 	snapshot.PerCluster = append([]stats.ClusterStats(nil), first.PerCluster...)
 	snapshot.HopHistogram = append([]uint64(nil), first.HopHistogram...)
 
-	if err := s.Reset(config.Preset(2).WithVP(config.VPStride), trace.NewExecutor(k.Build(2)), "cjpeg"); err != nil {
+	if err := s.Reset(config.Preset(2).WithVP(config.VPStride), trace.NewExecutor(k.Build(2, 0)), "cjpeg"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(); err != nil {
@@ -101,7 +101,7 @@ func TestPoolGetPutReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPool()
-	s2, err := p.Get(config.Preset(2), trace.NewExecutor(k.Build(1)), "cjpeg")
+	s2, err := p.Get(config.Preset(2), trace.NewExecutor(k.Build(1, 0)), "cjpeg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPoolGetPutReuse(t *testing.T) {
 	}
 	p.Put(s2)
 	cfg4 := config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)
-	s4, err := p.Get(cfg4, trace.NewExecutor(k.Build(1)), "cjpeg")
+	s4, err := p.Get(cfg4, trace.NewExecutor(k.Build(1, 0)), "cjpeg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPoolGetPutReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := run(t, cfg4, k.Build(1)); !reflect.DeepEqual(got, want) {
+	if want := run(t, cfg4, k.Build(1, 0)); !reflect.DeepEqual(got, want) {
 		t.Errorf("reused Sim diverged from fresh Sim:\nfresh:  %+v\nreused: %+v", want, got)
 	}
 	p.Put(s4)
@@ -150,8 +150,8 @@ func TestRingSizeInvisible(t *testing.T) {
 				cfg := m
 				cfg.ROBSize = rob
 				t.Run(fmt.Sprintf("%s/%s/rob%d", name, cfg.Name, rob), func(t *testing.T) {
-					sized := runJSON(t, cfg, k.Build(1), 0)
-					forced := runJSON(t, cfg, k.Build(1), ringCap)
+					sized := runJSON(t, cfg, k.Build(1, 0), 0)
+					forced := runJSON(t, cfg, k.Build(1, 0), ringCap)
 					if !bytes.Equal(sized, forced) {
 						t.Errorf("%d-slot ring diverged from the %d-slot ring:\nsized:  %s\nforced: %s",
 							ringSlots(rob), ringCap, sized, forced)

@@ -11,9 +11,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unicode/utf8"
 
 	"clustervp/internal/config"
 	"clustervp/internal/stats"
@@ -278,4 +280,51 @@ func TestKeyDigestNamesCacheFiles(t *testing.T) {
 			t.Errorf("cacheKey of a %d-byte key = %s, was %s", len(key), got, was)
 		}
 	}
+}
+
+// FuzzCacheEntry throws arbitrary (key, bytes) pairs at the result-cache
+// entry decoder, the boundary a shared cache directory crosses: it must
+// never panic, every rejection must wrap ErrCacheCorrupt or
+// ErrCacheTruncated, an accepted entry must encode and decode back to
+// the same results, and any valid UTF-8 key must round-trip through
+// encode and decode. The seed corpus in testdata/fuzz/FuzzCacheEntry
+// holds a valid entry and one of each damage the decoder names. Run it
+// with
+//
+//	go test -fuzz=FuzzCacheEntry ./internal/runner
+func FuzzCacheEntry(f *testing.F) {
+	valid, err := encodeCacheEntry("fp", testResults(9))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("fp", valid)
+	f.Add("other", valid)
+	f.Fuzz(func(t *testing.T, fp string, data []byte) {
+		res, err := decodeCacheEntry(fp, data)
+		if err != nil {
+			if !errors.Is(err, ErrCacheCorrupt) && !errors.Is(err, ErrCacheTruncated) {
+				t.Fatalf("untyped error: %v", err)
+			}
+		} else {
+			buf, err := encodeCacheEntry(fp, res)
+			if err != nil {
+				t.Fatalf("re-encoding an accepted entry: %v", err)
+			}
+			again, err := decodeCacheEntry(fp, buf)
+			if err != nil || !reflect.DeepEqual(again, res) {
+				t.Fatalf("accepted entry does not round-trip: %v\n got %+v\nwant %+v", err, again, res)
+			}
+		}
+		if !utf8.ValidString(fp) {
+			return
+		}
+		want := testResults(int64(len(data)))
+		buf, err := encodeCacheEntry(fp, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := decodeCacheEntry(fp, buf); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("key %q does not round-trip: %v", fp, err)
+		}
+	})
 }

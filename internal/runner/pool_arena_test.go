@@ -105,7 +105,7 @@ func checkAgainstCold(t *testing.T, name string, opts Options, jobs []Job, want 
 
 // TestSimulatePoolArenaDeterminism is the acceptance gate for the cold
 // path rework: results through the Sim pool, the trace arena and the
-// pipelined stream must be byte-identical to a cold Sim over a plain
+// streaming Reader must be byte-identical to a cold Sim over a plain
 // reader, at any worker count. Under -short it runs the workers=8
 // shared-arena case only, on the reduced grid.
 func TestSimulatePoolArenaDeterminism(t *testing.T) {

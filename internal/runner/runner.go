@@ -431,7 +431,7 @@ func (e *Engine) Snapshot() []Result {
 // default simulation replays through (grid engines, the clusterd
 // service, clustervp.RunTraceFile): distinct trace digests are decoded
 // into the in-memory form until this many bytes are resident;
-// everything past the budget stays on the pipelined streaming path.
+// everything past the budget streams from its file through a Reader.
 const DefaultArenaBudget int64 = 256 << 20
 
 var defaultArena = trace.NewArena(DefaultArenaBudget)
@@ -440,12 +440,12 @@ var defaultArena = trace.NewArena(DefaultArenaBudget)
 // of preference: a Cursor over the arena-resident decoded form (decoded
 // once per distinct content digest, shared read-only by every job), a
 // fresh decode admitted to the arena, or — when the arena is full or
-// the trace does not fit its remaining budget (ErrNoMemForm) — a
-// pipelined streaming Reader that overlaps decode with simulation. All three
-// yield byte-identical record streams. It returns the source, the
-// trace's header name, the materialization mode ("arena", "decode" or
-// "stream" — span attribute material for the tracing layer), and a
-// close func (nil when nothing needs closing).
+// the trace does not fit its remaining budget (ErrNoMemForm) — the
+// file's own Reader, which decodes block by block as the simulation
+// consumes it. All three yield byte-identical record streams. It
+// returns the source, the trace's header name, the materialization mode
+// ("arena", "decode" or "stream" — span attribute material for the
+// tracing layer), and a close func (nil when nothing needs closing).
 func openTraceSource(path string, arena *trace.Arena) (trace.Source, string, string, func() error, error) {
 	key := traceDigest(path)
 	if mt := arena.Get(key); mt != nil {
@@ -474,12 +474,7 @@ func openTraceSource(path string, arena *trace.Arena) (trace.Source, string, str
 	if err != nil {
 		return nil, "", "", nil, err
 	}
-	p := trace.NewPipelined(fr.Reader)
-	closeFn := func() error {
-		p.Close()
-		return fr.Close()
-	}
-	return p, fr.Name(), SourceStream, closeFn, nil
+	return fr, fr.Name(), SourceStream, fr.Close, nil
 }
 
 // Trace-materialization modes reported by newSim and recorded as the
@@ -489,7 +484,7 @@ const (
 	SourceArena = "arena"
 	// SourceDecode: decoded from the .cvt file and admitted to the arena.
 	SourceDecode = "decode"
-	// SourceStream: replayed via the pipelined streaming reader.
+	// SourceStream: streamed from the .cvt file by its Reader.
 	SourceStream = "stream"
 	// SourceSynth: synthesized in-process from the kernel builder.
 	SourceSynth = "synth"

@@ -20,15 +20,29 @@ import (
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// digestCache memoizes trace-file digests keyed by path, revalidated by
-// (size, mtime) so an overwritten file re-hashes instead of serving a
-// stale digest.
-var digestCache sync.Map // path -> digestEntry
+// fileFacts memoizes what the engine learned about a trace file — its
+// content digest, and whether it verified — keyed by path and
+// revalidated by (size, mtime), so an overwritten file is hashed and
+// verified again instead of serving a stale answer. Two updates of one
+// path racing may drop one fact, which only costs recomputing it.
+var fileFacts sync.Map // path -> fileFact
 
-type digestEntry struct {
-	size   int64
-	mtime  int64
-	digest string
+type fileFact struct {
+	size, mtime int64
+	digest      string // "" until hashed
+	verified    bool
+}
+
+// factFor returns the remembered fact for the file at path if st still
+// describes it, or a blank fact for st.
+func factFor(path string, st os.FileInfo) fileFact {
+	if e, ok := fileFacts.Load(path); ok {
+		f := e.(fileFact)
+		if f.size == st.Size() && f.mtime == st.ModTime().UnixNano() {
+			return f
+		}
+	}
+	return fileFact{size: st.Size(), mtime: st.ModTime().UnixNano()}
 }
 
 // traceDigest returns a content-derived fingerprint component for the
@@ -40,11 +54,9 @@ func traceDigest(path string) string {
 	if err != nil {
 		return fmt.Sprintf("%s!%v", path, err)
 	}
-	if e, ok := digestCache.Load(path); ok {
-		ent := e.(digestEntry)
-		if ent.size == st.Size() && ent.mtime == st.ModTime().UnixNano() {
-			return ent.digest
-		}
+	fact := factFor(path, st)
+	if fact.digest != "" {
+		return fact.digest
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -56,9 +68,9 @@ func traceDigest(path string) string {
 	if err != nil {
 		return fmt.Sprintf("%s!%v", path, err)
 	}
-	d := fmt.Sprintf("crc64:%016x:%d", h.Sum64(), n)
-	digestCache.Store(path, digestEntry{size: st.Size(), mtime: st.ModTime().UnixNano(), digest: d})
-	return d
+	fact.digest = fmt.Sprintf("crc64:%016x:%d", h.Sum64(), n)
+	fileFacts.Store(path, fact)
+	return fact.digest
 }
 
 // TracePath names the .cvt file MaterializeTraces writes for a
@@ -71,31 +83,21 @@ func TracePath(dir, kernel string, scale int, seed uint64) string {
 	return filepath.Join(dir, name+".cvt")
 }
 
-// verifyCache memoizes successful trace verifications keyed by path,
-// revalidated by (size, mtime) like the digest cache, so repeated grid
-// runs against a warm trace directory pay one full decode per file
-// per change, not per run.
-var verifyCache sync.Map // path -> verifyEntry
-
-type verifyEntry struct {
-	size  int64
-	mtime int64
-}
-
 // verifyTrace reports whether the .cvt file at path decodes cleanly end
 // to end — header, every block CRC, and the record-count trailer — i.e.
 // whether its content digest is intact. Any failure (missing file, bad
 // magic, corruption, truncation) reports false; the caller regenerates.
+// A success is remembered until the file changes, so repeated grid runs
+// against a warm trace directory pay one full decode per file per
+// change, not per run.
 func verifyTrace(path string) bool {
 	st, err := os.Stat(path)
 	if err != nil {
 		return false
 	}
-	if e, ok := verifyCache.Load(path); ok {
-		ent := e.(verifyEntry)
-		if ent.size == st.Size() && ent.mtime == st.ModTime().UnixNano() {
-			return true
-		}
+	fact := factFor(path, st)
+	if fact.verified {
+		return true
 	}
 	fr, err := trace.OpenFile(path)
 	if err != nil {
@@ -108,7 +110,8 @@ func verifyTrace(path string) bool {
 	if fr.Err() != nil {
 		return false
 	}
-	verifyCache.Store(path, verifyEntry{size: st.Size(), mtime: st.ModTime().UnixNano()})
+	fact.verified = true
+	fileFacts.Store(path, fact)
 	return true
 }
 

@@ -20,7 +20,7 @@ import (
 // latencyBuckets are the histogram upper bounds in seconds. Submissions
 // on a warm cache land ~100µs; cold simulations run seconds — the range
 // covers both.
-var latencyBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
+var latencyBuckets = [...]float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
 
 // routeKey identifies one (route, method) time series.
 type routeKey struct {
@@ -28,12 +28,44 @@ type routeKey struct {
 	method string
 }
 
+// histogram is one latency histogram over latencyBuckets: per-bucket
+// (non-cumulative) counts, summed at exposition time.
+type histogram struct {
+	buckets [len(latencyBuckets)]int64
+	sum     float64
+	count   int64
+}
+
+// observe adds one observation of d.
+func (h *histogram) observe(d time.Duration) {
+	sec := d.Seconds()
+	h.sum += sec
+	h.count++
+	for i, ub := range latencyBuckets {
+		if sec <= ub {
+			h.buckets[i]++
+			break
+		}
+	}
+}
+
+// emit writes the histogram's _bucket, _sum and _count samples under
+// name; labels alternate key, value and come before "le".
+func (h *histogram) emit(p *promWriter, name string, labels ...string) {
+	cum := int64(0)
+	for i, ub := range latencyBuckets {
+		cum += h.buckets[i]
+		p.sample(name+"_bucket", float64(cum), append(labels, "le", strconv.FormatFloat(ub, 'g', -1, 64))...)
+	}
+	p.sample(name+"_bucket", float64(h.count), append(labels, "le", "+Inf")...)
+	p.sample(name+"_sum", h.sum, labels...)
+	p.sample(name+"_count", float64(h.count), labels...)
+}
+
 // httpSeries is one route's latency histogram plus per-status counts.
 type httpSeries struct {
 	byCode  map[int]int64
-	buckets []int64 // cumulative at exposition time; stored per-bucket here
-	sum     float64
-	count   int64
+	latency histogram
 }
 
 // jobSeries is one via label's pair of duration histograms: total
@@ -41,11 +73,7 @@ type httpSeries struct {
 // from the job's span timings, so /metrics and the trace endpoints
 // report the same clock.
 type jobSeries struct {
-	durBuckets  []int64
-	durSum      float64
-	waitBuckets []int64
-	waitSum     float64
-	count       int64
+	dur, wait histogram
 }
 
 // metrics collects HTTP-side series. Simulation and queue counters
@@ -72,27 +100,11 @@ func (m *metrics) observeJob(via string, queueWait, total time.Duration) {
 	defer m.mu.Unlock()
 	js := m.jobs[via]
 	if js == nil {
-		js = &jobSeries{
-			durBuckets:  make([]int64, len(latencyBuckets)),
-			waitBuckets: make([]int64, len(latencyBuckets)),
-		}
+		js = &jobSeries{}
 		m.jobs[via] = js
 	}
-	js.count++
-	observeInto(js.durBuckets, &js.durSum, total.Seconds())
-	observeInto(js.waitBuckets, &js.waitSum, queueWait.Seconds())
-}
-
-// observeInto adds one observation to a per-bucket (non-cumulative)
-// histogram.
-func observeInto(buckets []int64, sum *float64, sec float64) {
-	*sum += sec
-	for i, ub := range latencyBuckets {
-		if sec <= ub {
-			buckets[i]++
-			break
-		}
-	}
+	js.dur.observe(total)
+	js.wait.observe(queueWait)
 }
 
 // observeHTTP records one finished request.
@@ -102,19 +114,11 @@ func (m *metrics) observeHTTP(route, method string, status int, d time.Duration)
 	k := routeKey{route: route, method: method}
 	s := m.http[k]
 	if s == nil {
-		s = &httpSeries{byCode: make(map[int]int64), buckets: make([]int64, len(latencyBuckets))}
+		s = &httpSeries{byCode: make(map[int]int64)}
 		m.http[k] = s
 	}
 	s.byCode[status]++
-	sec := d.Seconds()
-	s.sum += sec
-	s.count++
-	for i, ub := range latencyBuckets {
-		if sec <= ub {
-			s.buckets[i]++
-			break
-		}
-	}
+	s.latency.observe(d)
 }
 
 // loadShed records one rejected admission (queue saturation or tenant
@@ -251,28 +255,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		vias = append(vias, via)
 	}
 	sort.Strings(vias)
-	emitJobHist := func(name string, buckets func(*jobSeries) []int64, sum func(*jobSeries) float64) {
-		for _, via := range vias {
-			js := s.metrics.jobs[via]
-			cum := int64(0)
-			for i, ub := range latencyBuckets {
-				cum += buckets(js)[i]
-				p.sample(name+"_bucket", float64(cum),
-					"via", via, "le", strconv.FormatFloat(ub, 'g', -1, 64))
-			}
-			p.sample(name+"_bucket", float64(js.count), "via", via, "le", "+Inf")
-			p.sample(name+"_sum", sum(js), "via", via)
-			p.sample(name+"_count", float64(js.count), "via", via)
-		}
-	}
 	p.family("clusterd_job_duration_seconds", "Job wall-clock from admission to terminal state, by resolution path.", "histogram")
-	emitJobHist("clusterd_job_duration_seconds",
-		func(js *jobSeries) []int64 { return js.durBuckets },
-		func(js *jobSeries) float64 { return js.durSum })
+	for _, via := range vias {
+		s.metrics.jobs[via].dur.emit(p, "clusterd_job_duration_seconds", "via", via)
+	}
 	p.family("clusterd_queue_wait_seconds", "Job time spent queued before a worker picked it up, by resolution path.", "histogram")
-	emitJobHist("clusterd_queue_wait_seconds",
-		func(js *jobSeries) []int64 { return js.waitBuckets },
-		func(js *jobSeries) float64 { return js.waitSum })
+	for _, via := range vias {
+		s.metrics.jobs[via].wait.emit(p, "clusterd_queue_wait_seconds", "via", via)
+	}
 
 	keys := make([]routeKey, 0, len(s.metrics.http))
 	for k := range s.metrics.http {
@@ -299,20 +289,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	p.family("clusterd_http_request_duration_seconds", "HTTP request latency by route and method.", "histogram")
 	for _, k := range keys {
-		sr := s.metrics.http[k]
-		cum := int64(0)
-		for i, ub := range latencyBuckets {
-			cum += sr.buckets[i]
-			p.sample("clusterd_http_request_duration_seconds_bucket", float64(cum),
-				"route", k.route, "method", k.method,
-				"le", strconv.FormatFloat(ub, 'g', -1, 64))
-		}
-		p.sample("clusterd_http_request_duration_seconds_bucket", float64(sr.count),
-			"route", k.route, "method", k.method, "le", "+Inf")
-		p.sample("clusterd_http_request_duration_seconds_sum", sr.sum,
-			"route", k.route, "method", k.method)
-		p.sample("clusterd_http_request_duration_seconds_count", float64(sr.count),
-			"route", k.route, "method", k.method)
+		s.metrics.http[k].latency.emit(p, "clusterd_http_request_duration_seconds", "route", k.route, "method", k.method)
 	}
 	s.metrics.mu.Unlock()
 

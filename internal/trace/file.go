@@ -1,14 +1,13 @@
 package trace
 
-// File-level conveniences over the .cvt Reader/Writer: FileWriter owns
-// the atomic write protocol (buffered temp file + rename on Commit),
-// WriteFile drains a Source through it, and OpenFile wraps an os.File
-// in a Reader that still streams block by block — opening a
-// multi-gigabyte trace costs one block of memory, not the file size.
+// File-level conveniences over the .cvt Reader/Writer: WriteFile drains
+// a Source into a file published atomically (buffered temp file, then
+// rename), and OpenFile wraps an os.File in a Reader that still streams
+// block by block — opening a multi-gigabyte trace costs one block of
+// memory, not the file size.
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,91 +16,46 @@ import (
 	"clustervp/internal/isa"
 )
 
-// FileWriter streams records into a .cvt file atomically: everything
-// goes through a buffered Writer into a temp file in the destination
-// directory, and only Commit renames it into place — a crashed or
-// failed run never leaves a half-written trace behind.
-type FileWriter struct {
-	*Writer
-	tmp  *os.File
-	bw   *bufio.Writer
-	path string
-	done bool
-}
-
-// CreateFile opens a FileWriter for path; the container header goes
-// out with the first record. Call Write for each record, then exactly
-// one of Commit (publish) or Abort (discard); Abort after Commit is a
-// no-op, so `defer fw.Abort()` is the idiomatic cleanup.
-func CreateFile(path, name string, code []isa.Inst) (*FileWriter, error) {
+// WriteFile streams src into a .cvt file at path and returns the number
+// of records written. Everything goes through a buffered Writer into a
+// temp file in the destination directory, renamed into place only once
+// the source drained cleanly and the container is complete, so a
+// failed or crashed run never leaves a half-written trace behind.
+func WriteFile(path, name string, code []isa.Inst, src Source) (n uint64, err error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".cvt-*")
-	if err != nil {
-		return nil, err
-	}
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	w, err := NewWriter(bw, name, code)
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return nil, err
-	}
-	return &FileWriter{Writer: w, tmp: tmp, bw: bw, path: path}, nil
-}
-
-// Commit finalizes the container (end marker, flush) and renames the
-// temp file into place.
-func (fw *FileWriter) Commit() error {
-	if fw.done {
-		return errors.New("trace: FileWriter already finished")
-	}
-	fw.done = true
-	err := fw.Writer.Close()
-	if err == nil {
-		err = fw.bw.Flush()
-	}
-	if cerr := fw.tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(fw.tmp.Name())
-		return err
-	}
-	if err := os.Rename(fw.tmp.Name(), fw.path); err != nil {
-		os.Remove(fw.tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// Abort discards the temp file without publishing; no-op after Commit.
-func (fw *FileWriter) Abort() {
-	if fw.done {
-		return
-	}
-	fw.done = true
-	fw.tmp.Close()
-	os.Remove(fw.tmp.Name())
-}
-
-// WriteFile streams src into a .cvt file at path, written atomically.
-// It returns the number of records written.
-func WriteFile(path, name string, code []isa.Inst, src Source) (uint64, error) {
-	fw, err := CreateFile(path, name, code)
 	if err != nil {
 		return 0, err
 	}
-	defer fw.Abort()
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	bw := bufio.NewWriterSize(tmp, 1<<16)
+	w, err := NewWriter(bw, name, code)
+	if err != nil {
+		return 0, err
+	}
 	var d DynInst
 	for src.Next(&d) {
-		if err := fw.Write(&d); err != nil {
-			return fw.Count(), err
+		if err := w.Write(&d); err != nil {
+			return w.Count(), err
 		}
 	}
 	if err := src.Err(); err != nil {
-		return fw.Count(), fmt.Errorf("trace: generating %s: %w", path, err)
+		return w.Count(), fmt.Errorf("trace: generating %s: %w", path, err)
 	}
-	n := fw.Count()
-	return n, fw.Commit()
+	if err := w.Close(); err != nil {
+		return w.Count(), err
+	}
+	if err := bw.Flush(); err != nil {
+		return w.Count(), err
+	}
+	if err := tmp.Close(); err != nil {
+		return w.Count(), err
+	}
+	return w.Count(), os.Rename(tmp.Name(), path)
 }
 
 // FileReader is a Reader bound to an opened .cvt file.

@@ -62,19 +62,21 @@ const Version = 2
 // hold: a few bytes can claim any number of records of a loop with no
 // loads, so a claim above it is refused before re-execution starts. It
 // is far above any trace the kernel suite writes and fits an int on
-// 32-bit platforms.
+// 32-bit platforms. maxBlockRecords is the Writer's block size, the
+// largest block it writes, so an input must spend at least a block's 7
+// bytes of framing per 4,096 records it claims.
 const (
 	maxNameLen       = 1 << 12
 	maxCodeLen       = 1 << 18
 	maxInstEncoding  = 2 + 3 + 10 + 10 + 10 // op + regs + imm + fimm + target varints
 	maxHeaderPayload = maxNameLen + 3*10 + maxCodeLen*maxInstEncoding
 	maxBlockPayload  = 1 << 20
-	maxBlockRecords  = 1 << 16
+	maxBlockRecords  = flushRecords
 	maxRecords       = 1 << 28
 )
 
 // Writer-side block bounds: a block flushes at whichever limit it hits
-// first. Both sit far under the decoder caps.
+// first. flushBytes sits far under the decoder's maxBlockPayload.
 const (
 	flushRecords = 1 << 12
 	flushBytes   = 1 << 18

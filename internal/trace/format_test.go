@@ -41,7 +41,7 @@ func encodeKernel(t *testing.T, kernel string, scale int) ([]byte, []trace.DynIn
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := k.Build(scale)
+	prog := k.Build(scale, 0)
 	want := collect(t, trace.NewExecutor(prog))
 
 	var buf bytes.Buffer
@@ -107,7 +107,7 @@ func TestWriteFileOpenFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := k.Build(1)
+	prog := k.Build(1, 0)
 	path := filepath.Join(t.TempDir(), "epicdec.cvt")
 	n, err := trace.WriteFile(path, prog.Name, prog.Code, trace.NewExecutor(prog))
 	if err != nil {
@@ -125,7 +125,7 @@ func TestWriteFileOpenFile(t *testing.T) {
 		t.Errorf("trace name %q, want %q", fr.Name(), prog.Name)
 	}
 	got := collect(t, fr)
-	want := collect(t, trace.NewExecutor(k.Build(1)))
+	want := collect(t, trace.NewExecutor(k.Build(1, 0)))
 	if len(got) != len(want) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(want))
 	}
@@ -144,35 +144,29 @@ func TestWriteFileOpenFile(t *testing.T) {
 	}
 }
 
-// TestTeeRecordsWhileStreaming checks that Tee passes records through
-// unchanged while producing a decodable copy.
-func TestTeeRecordsWhileStreaming(t *testing.T) {
-	k, err := workload.ByName("rawcaudio")
+// TestWriteFileFailureLeavesNothing: a WriteFile whose records cannot
+// be written (here, records of one kernel against another's code)
+// returns the Writer's error and publishes nothing, temp file included.
+func TestWriteFileFailureLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	enc, err := workload.Build("epicdec", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := k.Build(1)
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, prog.Name, prog.Code)
+	other, err := workload.Build("rawcaudio", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	through := collect(t, trace.Tee(trace.NewExecutor(prog), w))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	path := filepath.Join(dir, "x.cvt")
+	if _, err := trace.WriteFile(path, enc.Name, enc.Code, trace.NewExecutor(other)); !errors.Is(err, trace.ErrOffModel) {
+		t.Fatalf("WriteFile error %v, want ErrOffModel", err)
 	}
-	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := collect(t, r)
-	if len(replayed) != len(through) {
-		t.Fatalf("tee wrote %d records, passed through %d", len(replayed), len(through))
-	}
-	for i := range through {
-		if replayed[i] != through[i] {
-			t.Fatalf("record %d differs between tee copy and pass-through", i)
-		}
+	if len(ents) != 0 {
+		t.Errorf("a failed WriteFile left %v behind", ents)
 	}
 }
 
@@ -213,6 +207,8 @@ func TestTruncationAndCorruptionAreTyped(t *testing.T) {
 		{"flipped-crc", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, []error{trace.ErrCorrupt}},
 		{"trailing-byte", func(b []byte) []byte { return append(b, 0) }, []error{trace.ErrCorrupt}},
 		{"trailing-trace", func(b []byte) []byte { return append(b, data...) }, []error{trace.ErrCorrupt}},
+		// 32 KB claiming 2^28 records in blocks past the Writer's size.
+		{"oversized-blocks", func([]byte) []byte { return trace.FloodUpload() }, []error{trace.ErrCorrupt}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -376,7 +372,7 @@ func TestWriterRefusesOffModelRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := k.Build(1)
+	prog := k.Build(1, 0)
 	recs := collect(t, trace.NewExecutor(prog))[:2000]
 	edits := []struct {
 		field string

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"testing"
 
@@ -12,41 +11,6 @@ import (
 	"clustervp/internal/trace"
 	"clustervp/internal/workload"
 )
-
-// cvtBlock is one block of a hand-made container: its record count and
-// its load column.
-type cvtBlock struct {
-	records uint64
-	column  []byte
-}
-
-// cvt encodes a container named "test" from its parts, following the
-// layout in format.go but not the Writer, so that tests can make the
-// files a Writer never would.
-func cvt(code []isa.Inst, entry uint64, blocks []cvtBlock, total uint64) []byte {
-	zz := func(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-	checked := func(out, payload []byte) []byte {
-		out = binary.AppendUvarint(out, uint64(len(payload)))
-		out = append(out, payload...)
-		return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	}
-	hdr := append(binary.AppendUvarint(nil, 4), "test"...)
-	hdr = binary.AppendUvarint(hdr, uint64(len(code)))
-	for _, in := range code {
-		hdr = binary.AppendUvarint(hdr, uint64(in.Op))
-		hdr = append(hdr, byte(in.Rd), byte(in.Ra), byte(in.Rb))
-		hdr = binary.AppendUvarint(hdr, zz(in.Imm))
-		hdr = binary.AppendUvarint(hdr, math.Float64bits(in.FImm))
-		hdr = binary.AppendUvarint(hdr, zz(int64(in.Target)))
-	}
-	out := checked([]byte{'C', 'V', 'T', 'R', 2}, binary.AppendUvarint(hdr, entry))
-	for _, b := range blocks {
-		out = checked(binary.AppendUvarint(out, b.records), b.column)
-	}
-	end := binary.AppendUvarint(nil, total)
-	out = append(append(out, 0), end...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(end))
-}
 
 var (
 	// spin is a loop with no loads: a block of any number of its
@@ -63,14 +27,15 @@ var unexecutable = []struct {
 	name string
 	data []byte
 }{
-	{"pc outside the code", cvt(spin, 1, []cvtBlock{{1, nil}}, 1)},
-	{"halt", cvt([]isa.Inst{{Op: isa.HALT}}, 0, []cvtBlock{{1, nil}}, 1)},
-	{"column exhausted", cvt(loadLoop, 0, []cvtBlock{{3, []byte{2}}}, 3)},
-	{"column bytes left over", cvt(loadLoop, 0, []cvtBlock{{2, []byte{2, 4}}}, 2)},
-	{"loads across a block boundary", cvt(loadLoop, 0, []cvtBlock{{1, []byte{2, 4}}, {2, nil}}, 3)},
-	{"bad varint", cvt(loadLoop, 0, []cvtBlock{{1, bytes.Repeat([]byte{0xff}, 11)}}, 1)},
-	{"count differs from the end block", cvt(spin, 0, []cvtBlock{{5, nil}}, 4)},
-	{"claim over the record cap", cvt(spin, 0, []cvtBlock{{5, nil}}, 1<<60)},
+	{"pc outside the code", trace.Container(spin, 1, []trace.Block{{1, nil}}, 1)},
+	{"halt", trace.Container([]isa.Inst{{Op: isa.HALT}}, 0, []trace.Block{{1, nil}}, 1)},
+	{"column exhausted", trace.Container(loadLoop, 0, []trace.Block{{3, []byte{2}}}, 3)},
+	{"column bytes left over", trace.Container(loadLoop, 0, []trace.Block{{2, []byte{2, 4}}}, 2)},
+	{"loads across a block boundary", trace.Container(loadLoop, 0, []trace.Block{{1, []byte{2, 4}}, {2, nil}}, 3)},
+	{"bad varint", trace.Container(loadLoop, 0, []trace.Block{{1, bytes.Repeat([]byte{0xff}, 11)}}, 1)},
+	{"count differs from the end block", trace.Container(spin, 0, []trace.Block{{5, nil}}, 4)},
+	{"claim over the record cap", trace.Container(spin, 0, []trace.Block{{5, nil}}, 1<<60)},
+	{"block past the Writer's block size", trace.Container(spin, 0, []trace.Block{{1 << 16, nil}}, 1<<16)},
 }
 
 // FuzzTraceReader throws arbitrary bytes at the .cvt decoder and
@@ -95,7 +60,7 @@ func FuzzTraceReader(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	prog := k.Build(1)
+	prog := k.Build(1, 0)
 	var buf bytes.Buffer
 	w, err := trace.NewWriter(&buf, prog.Name, prog.Code)
 	if err != nil {

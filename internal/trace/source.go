@@ -18,37 +18,3 @@ var (
 	_ Source = (*Executor)(nil)
 	_ Source = (*Reader)(nil)
 )
-
-// tee forwards a Source while writing every record to a Writer.
-type tee struct {
-	src Source
-	w   *Writer
-	err error
-}
-
-// Tee returns a Source that yields src's records unchanged while
-// appending each one to w, so a simulation can record the trace it
-// consumes as a side effect (clustersim -trace-out). The caller remains
-// responsible for closing w after the stream drains.
-func Tee(src Source, w *Writer) Source { return &tee{src: src, w: w} }
-
-// Next implements Source.
-func (t *tee) Next(d *DynInst) bool {
-	if t.err != nil || !t.src.Next(d) {
-		return false
-	}
-	if err := t.w.Write(d); err != nil {
-		t.err = err
-		return false
-	}
-	return true
-}
-
-// Err implements Source: a write failure surfaces before any source
-// error, because it truncates the stream early.
-func (t *tee) Err() error {
-	if t.err != nil {
-		return t.err
-	}
-	return t.src.Err()
-}

@@ -111,6 +111,7 @@ func TestStoreRejectsCorruptUploads(t *testing.T) {
 		}(), ErrCorrupt},
 		{"empty", nil, ErrBadMagic},
 		{"trailing-bytes", append(append([]byte(nil), data...), 0, 0), ErrCorrupt},
+		{"oversized-blocks", FloodUpload(), ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -53,10 +53,10 @@ var imaIndexAdjust = []int64{-1, -1, -1, -1, 2, 4, 6, 8}
 // magnitude through a comparison tree against scaled step thresholds,
 // update the predictor and step index. Serial dependence through the
 // predictor, branch-heavy — the classic ADPCM profile.
-func buildG721Enc(scale int) *program.Program {
+func buildG721Enc(scale int, seed uint64) *program.Program {
 	n := 3000 * scale
 	b := program.NewBuilder("g721enc")
-	in := b.DataWords(smoothSamples(0x6721, n, 8000))
+	in := b.DataWords(smoothSamples(0x6721^splitmix64(seed), n, 8000))
 	steps := b.DataWords(imaStepTable)
 	adj := b.DataWords(imaIndexAdjust)
 	chk := b.Reserve(8)
@@ -154,10 +154,10 @@ func buildG721Enc(scale int) *program.Program {
 
 // buildGsmDec: y[i] = x[i] + (a1*y[i-1] + a2*y[i-2]) >> 12 — a serial
 // second-order IIR synthesis filter with fixed-point coefficients.
-func buildGsmDec(scale int) *program.Program {
+func buildGsmDec(scale int, seed uint64) *program.Program {
 	n := 4000 * scale
 	b := program.NewBuilder("gsmdec")
-	in := b.DataWords(smoothSamples(0x65D, n, 2000))
+	in := b.DataWords(smoothSamples(0x65D^splitmix64(seed), n, 2000))
 	out := b.Reserve(n * 8)
 	chk := b.Reserve(8)
 
@@ -213,13 +213,13 @@ func buildGsmDec(scale int) *program.Program {
 
 // buildGsmEnc: autocorrelation r[k] = sum_n x[n]*x[n-k] for k = 0..8 over
 // speech frames — the multiply-accumulate core of GSM's LPC analysis.
-func buildGsmEnc(scale int) *program.Program {
+func buildGsmEnc(scale int, seed uint64) *program.Program {
 	frames := 12 * scale
 	frameLen := 160
 	lags := 9
 	n := frames * frameLen
 	b := program.NewBuilder("gsmenc")
-	in := b.DataWords(smoothSamples(0x65E, n, 4000))
+	in := b.DataWords(smoothSamples(0x65E^splitmix64(seed), n, 4000))
 	acf := b.Reserve(lags * 8)
 	chk := b.Reserve(8)
 
@@ -290,10 +290,10 @@ func buildGsmEnc(scale int) *program.Program {
 // buildRawCAudio: IMA ADPCM with 4-bit codes and table-driven step
 // adaptation; similar to g721enc but with the full nibble loop and output
 // packing (shifts/ors), like MediaBench's rawcaudio.
-func buildRawCAudio(scale int) *program.Program {
+func buildRawCAudio(scale int, seed uint64) *program.Program {
 	n := 3200 * scale
 	b := program.NewBuilder("rawcaudio")
-	in := b.DataWords(smoothSamples(0xADCA, n, 12000))
+	in := b.DataWords(smoothSamples(0xADCA^splitmix64(seed), n, 12000))
 	steps := b.DataWords(imaStepTable)
 	adj := b.DataWords(imaIndexAdjust)
 	out := b.Reserve(n) // one byte per two samples, over-reserved
@@ -415,11 +415,11 @@ func buildRawCAudio(scale int) *program.Program {
 // buildRasta: a bank of second-order FP IIR filters applied to the same
 // input, then per-band energy accumulation — the filtering core of
 // RASTA-PLP feature extraction.
-func buildRasta(scale int) *program.Program {
+func buildRasta(scale int, seed uint64) *program.Program {
 	n := 1500 * scale
 	bands := 8
 	b := program.NewBuilder("rasta")
-	in := b.DataFloats(floatSamples(0x4A57A, n))
+	in := b.DataFloats(floatSamples(0x4A57A^splitmix64(seed), n))
 	// Per-band biquad coefficients (b0, b1, a1, a2).
 	coefs := make([]float64, 0, bands*4)
 	for k := 0; k < bands; k++ {

@@ -22,11 +22,11 @@ func init() {
 
 // buildEpicEnc: levels of l[i] = (x[2i]+x[2i+1])>>1, h[i] = x[2i]-x[2i+1],
 // rewriting in place so deeper levels reread the lowpass band.
-func buildEpicEnc(scale int) *program.Program {
+func buildEpicEnc(scale int, seed uint64) *program.Program {
 	n := 2048 * scale // power-of-two sample count
 	levels := 6
 	b := program.NewBuilder("epicenc")
-	in := b.DataWords(smoothSamples(0xE51C, n, 1023))
+	in := b.DataWords(smoothSamples(0xE51C^splitmix64(seed), n, 1023))
 	tmp := b.Reserve(n * 8)
 	chk := b.Reserve(8)
 
@@ -106,11 +106,11 @@ func buildEpicEnc(scale int) *program.Program {
 // buildEpicDec: one synthesis level (x[2i]=l+((h+1)>>1), x[2i+1]=x[2i]-h)
 // followed by a zero-run scan that counts runs of small coefficients —
 // highly data-dependent branching, like EPIC's run-length decoder.
-func buildEpicDec(scale int) *program.Program {
+func buildEpicDec(scale int, seed uint64) *program.Program {
 	n := 2048 * scale
 	b := program.NewBuilder("epicdec")
 	// Sparse coefficients: mostly zero with occasional spikes.
-	coeffs := intSamples(0xED4C, n, 40)
+	coeffs := intSamples(0xED4C^splitmix64(seed), n, 40)
 	for i := range coeffs {
 		if coeffs[i] > -30 && coeffs[i] < 30 {
 			coeffs[i] = 0

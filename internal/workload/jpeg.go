@@ -46,11 +46,11 @@ var jpegQuant = []int64{16, 11, 10, 16, 24, 40, 51, 61}
 // buildCjpeg: forward DCT. For each 8-sample segment s:
 //
 //	y[u] = (sum_k coef[u][k] * x[s*8+k]) >> 10, then y[u] /= q[u].
-func buildCjpeg(scale int) *program.Program {
+func buildCjpeg(scale int, seed uint64) *program.Program {
 	segments := 48 * scale
 	n := segments * 8
 	b := program.NewBuilder("cjpeg")
-	in := b.DataWords(smoothSamples(0xC19E6, n, 255))
+	in := b.DataWords(smoothSamples(0xC19E6^splitmix64(seed), n, 255))
 	coef := b.DataWords(dctCoef())
 	// Quantization by reciprocal multiply, as libjpeg's DESCALE fast
 	// path does: recip[u] = 65536/q[u], y = (acc*recip)>>16.
@@ -137,11 +137,11 @@ func buildCjpeg(scale int) *program.Program {
 }
 
 // buildDjpeg: dequantize + inverse DCT + clamp to [0,255].
-func buildDjpeg(scale int) *program.Program {
+func buildDjpeg(scale int, seed uint64) *program.Program {
 	segments := 40 * scale
 	n := segments * 8
 	b := program.NewBuilder("djpeg")
-	in := b.DataWords(intSamples(0xD39E6, n, 64))
+	in := b.DataWords(intSamples(0xD39E6^splitmix64(seed), n, 64))
 	coef := b.DataWords(dctCoef())
 	quant := b.DataWords(jpegQuant)
 	out := b.Reserve(n * 8)

@@ -31,12 +31,12 @@ func init() {
 
 // buildMesaMipmap: repeatedly halve a square FP image with a 2x2 box
 // filter: out[y][x] = 0.25*(a+b+c+d). Strided FP loads, FP adds/muls.
-func buildMesaMipmap(scale int) *program.Program {
+func buildMesaMipmap(scale int, seed uint64) *program.Program {
 	dim := 64 // 64x64 base level
 	levels := 5
 	reps := 2 * scale
 	b := program.NewBuilder("mesamipmap")
-	img := b.DataFloats(floatSamples(0x3144, dim*dim))
+	img := b.DataFloats(floatSamples(0x3144^splitmix64(seed), dim*dim))
 	out := b.Reserve(dim * dim * 8 / 2)
 	chk := b.Reserve(8)
 
@@ -147,10 +147,10 @@ func buildMesaMipmap(scale int) *program.Program {
 
 // buildMesaOsdemo: transform an array of 4-component vertices by a 4x4
 // matrix, then divide by w — the vertex pipeline inner loop.
-func buildMesaOsdemo(scale int) *program.Program {
+func buildMesaOsdemo(scale int, seed uint64) *program.Program {
 	verts := 600 * scale
 	b := program.NewBuilder("mesaosdemo")
-	vin := b.DataFloats(floatSamples(0x05DE, verts*4))
+	vin := b.DataFloats(floatSamples(0x05DE^splitmix64(seed), verts*4))
 	// A plausible projection-ish matrix (row major).
 	mat := b.DataFloats([]float64{
 		1.2, 0.0, 0.1, 0.0,
@@ -245,10 +245,10 @@ func buildMesaOsdemo(scale int) *program.Program {
 
 // buildMesaTexgen: per vertex compute a sphere-map coordinate: dot
 // products plus a reciprocal square root via Newton iterations.
-func buildMesaTexgen(scale int) *program.Program {
+func buildMesaTexgen(scale int, seed uint64) *program.Program {
 	verts := 500 * scale
 	b := program.NewBuilder("mesatexgen")
-	norm := b.DataFloats(floatSamples(0x7E46E, verts*3))
+	norm := b.DataFloats(floatSamples(0x7E46E^splitmix64(seed), verts*3))
 	tex := b.Reserve(verts * 2 * 8)
 	chk := b.Reserve(8)
 

@@ -75,10 +75,10 @@ func emitModExp(b *program.Builder, prefix string, nWords int, msgAddr, outAddr 
 // buildPgpEnc: modexp with a 16-bit exponent over the message words.
 // Long serial MUL→REM chains exercise the non-pipelined divide units and
 // produce poorly predictable intermediate values, like real RSA.
-func buildPgpEnc(scale int) *program.Program {
+func buildPgpEnc(scale int, seed uint64) *program.Program {
 	n := 180 * scale
 	b := program.NewBuilder("pgpenc")
-	msgVals := intSamples(0x9690, n, 1<<30)
+	msgVals := intSamples(0x9690^splitmix64(seed), n, 1<<30)
 	for i := range msgVals {
 		if msgVals[i] < 0 {
 			msgVals[i] = -msgVals[i]
@@ -99,11 +99,11 @@ func buildPgpEnc(scale int) *program.Program {
 // buildPgpDec: a shorter modexp pass plus an ASCII-armor scan: walk a
 // byte buffer classifying characters (alnum vs padding vs newline) with
 // a branch tree and accumulating a radix-64 decode.
-func buildPgpDec(scale int) *program.Program {
+func buildPgpDec(scale int, seed uint64) *program.Program {
 	n := 90 * scale
 	textLen := 4000 * scale
 	b := program.NewBuilder("pgpdec")
-	msgVals := intSamples(0x9691, n, 1<<30)
+	msgVals := intSamples(0x9691^splitmix64(seed), n, 1<<30)
 	for i := range msgVals {
 		if msgVals[i] < 0 {
 			msgVals[i] = -msgVals[i]

@@ -19,7 +19,7 @@ func init() {
 // differences over a 16x1 strip with an early exit when the partial SAD
 // exceeds the best so far. Branch-heavy, abs-value data dependence, the
 // dominant loop of every video encoder.
-func buildMpeg2Enc(scale int) *program.Program {
+func buildMpeg2Enc(scale int, seed uint64) *program.Program {
 	blocks := 24 * scale
 	window := 8   // candidate displacements per block
 	strip := 16   // pixels compared per candidate row

@@ -16,8 +16,6 @@ package workload
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"clustervp/internal/program"
 )
@@ -36,8 +34,10 @@ type Kernel struct {
 	FPHeavy bool
 	// Build assembles the kernel. scale >= 1 multiplies the input size /
 	// iteration count; scale 1 runs tens of thousands of dynamic
-	// instructions, suitable for tests.
-	Build func(scale int) *program.Program
+	// instructions, suitable for tests. seed re-draws the pseudo-random
+	// input data (0 = the canonical inputs); the program depends on its
+	// arguments only, so concurrent builds need no coordination.
+	Build func(scale int, seed uint64) *program.Program
 }
 
 var registry = map[string]Kernel{}
@@ -79,18 +79,6 @@ func All() []Kernel {
 	return out
 }
 
-// buildMu serializes kernel builds so the transient input-seed mix of
-// Build cannot leak into a concurrent build (grid workers build kernels
-// in parallel); seedMix is zero outside a seeded build, which keeps the
-// canonical input streams bit-identical to the pre-seeding simulator.
-// The mix is atomic so a legacy direct Kernel.Build call racing a
-// seeded Build is at worst wrongly seeded, never undefined behaviour —
-// but every production path should go through Build.
-var (
-	buildMu sync.Mutex
-	seedMix atomic.Uint64
-)
-
 // Build assembles kernel name at the given scale (clamped to >= 1) with
 // its pseudo-random input streams re-seeded by seed. Seed 0 selects the
 // canonical inputs every historical figure was produced with; any other
@@ -104,16 +92,12 @@ func Build(name string, scale int, seed uint64) (*program.Program, error) {
 	if scale < 1 {
 		scale = 1
 	}
-	buildMu.Lock()
-	defer buildMu.Unlock()
-	seedMix.Store(splitmix64(seed))
-	prog := k.Build(scale)
-	seedMix.Store(0)
-	return prog, nil
+	return k.Build(scale, seed), nil
 }
 
 // splitmix64 decorrelates user seeds (0 maps to 0 so the canonical
-// streams stay untouched).
+// streams stay untouched). Each builder XORs it into the constant seed
+// of each of its sample streams.
 func splitmix64(x uint64) uint64 {
 	if x == 0 {
 		return 0
@@ -135,7 +119,7 @@ func (l *lcg) next() uint64 {
 
 // intSamples produces n pseudo-random int64 samples in [-amp, amp].
 func intSamples(seed uint64, n int, amp int64) []int64 {
-	l := lcg(seed ^ seedMix.Load())
+	l := lcg(seed)
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = int64(l.next()%uint64(2*amp+1)) - amp
@@ -147,7 +131,7 @@ func intSamples(seed uint64, n int, amp int64) []int64 {
 // a ramp and noise), mimicking audio/image data that has exploitable
 // value locality.
 func smoothSamples(seed uint64, n int, amp int64) []int64 {
-	l := lcg(seed ^ seedMix.Load())
+	l := lcg(seed)
 	out := make([]int64, n)
 	acc := int64(0)
 	for i := range out {
@@ -165,7 +149,7 @@ func smoothSamples(seed uint64, n int, amp int64) []int64 {
 
 // floatSamples produces n pseudo-random float64 samples in [-1, 1).
 func floatSamples(seed uint64, n int) []float64 {
-	l := lcg(seed ^ seedMix.Load())
+	l := lcg(seed)
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = float64(int64(l.next()>>11))/float64(1<<52) - 1.0

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"clustervp/internal/isa"
+	"clustervp/internal/program"
 	"clustervp/internal/trace"
 )
 
@@ -43,7 +46,7 @@ func TestAllKernelsRunToCompletion(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			p := k.Build(1)
+			p := k.Build(1, 0)
 			e := trace.NewExecutor(p)
 			var d trace.DynInst
 			var count, loads, stores, branches, fpops, fptouch, muldiv uint64
@@ -109,7 +112,7 @@ func TestAllKernelsRunToCompletion(t *testing.T) {
 func TestScaleGrowsWork(t *testing.T) {
 	k, _ := ByName("gsmdec")
 	count := func(scale int) uint64 {
-		e := trace.NewExecutor(k.Build(scale))
+		e := trace.NewExecutor(k.Build(scale, 0))
 		n, err := e.Run(0)
 		if err != nil {
 			t.Fatal(err)
@@ -126,11 +129,11 @@ func TestScaleGrowsWork(t *testing.T) {
 // whole simulator depends on reproducible workloads).
 func TestDeterministic(t *testing.T) {
 	k, _ := ByName("g721enc")
-	t1, err := trace.Collect(k.Build(1), 0)
+	t1, err := trace.Collect(k.Build(1, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := trace.Collect(k.Build(1), 0)
+	t2, err := trace.Collect(k.Build(1, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +147,38 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
+// TestConcurrentSeededBuilds: a build depends on its kernel, scale and
+// seed only, so builds of every kernel under different seeds, all at
+// once, each equal the same build made alone. Run under -race it also
+// checks that builds share no state. The seeds must matter, or the
+// comparison would prove nothing.
+func TestConcurrentSeededBuilds(t *testing.T) {
+	seeds := []uint64{0, 1, 2, 0xdeadbeef}
+	kernels := All()
+	serial := make([][]*program.Program, len(kernels))
+	for i, k := range kernels {
+		for _, seed := range seeds {
+			serial[i] = append(serial[i], k.Build(1, seed))
+		}
+	}
+	if reflect.DeepEqual(serial[0][0], serial[0][1]) {
+		t.Fatalf("%s: seed 1 builds the canonical program", kernels[0].Name)
+	}
+	var wg sync.WaitGroup
+	for i, k := range kernels {
+		for j, seed := range seeds {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := k.Build(1, seed); !reflect.DeepEqual(got, serial[i][j]) {
+					t.Errorf("%s seed %d: a concurrent build differs from the serial one", k.Name, seed)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
 // TestChecksumsNonTrivial: integer kernels write a checksum derived from
 // their computation; it must not be zero (which would suggest dead code).
 func TestChecksumsNonTrivial(t *testing.T) {
@@ -152,7 +187,7 @@ func TestChecksumsNonTrivial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := k.Build(1)
+		p := k.Build(1, 0)
 		e := trace.NewExecutor(p)
 		if _, err := e.Run(0); err != nil {
 			t.Fatalf("%s: %v", name, err)
