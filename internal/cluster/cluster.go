@@ -34,9 +34,16 @@ type Resources struct {
 	fpmUnits  int // FP mul/div-capable units touched this cycle
 
 	// Non-pipelined divider occupancy: busyUntil per mul/div-capable
-	// unit.
+	// unit and the latest of them, and how many of each kind are held
+	// this cycle (by divides issued in earlier cycles or in this one),
+	// counted once per cycle rather than on every issue, and only while
+	// some divide is still in flight.
 	intDivBusy []int64
 	fpDivBusy  []int64
+	intBusyMax int64
+	fpBusyMax  int64
+	intHeld    int
+	fpHeld     int
 
 	// Statistics.
 	IssuedTotal uint64
@@ -44,23 +51,42 @@ type Resources struct {
 
 // New builds the resource tracker for one cluster.
 func New(cfg config.ClusterSpec) *Resources {
-	return &Resources{
+	r := &Resources{
 		cfg:        cfg,
 		cycle:      -1,
 		intDivBusy: make([]int64, cfg.FUs.IntMul),
 		fpDivBusy:  make([]int64, cfg.FUs.FPMulDiv),
 	}
+	r.intHeld = divBusyCount(r.intDivBusy, r.cycle)
+	r.fpHeld = divBusyCount(r.fpDivBusy, r.cycle)
+	return r
 }
 
 // Spec returns the cluster's configuration.
 func (r *Resources) Spec() config.ClusterSpec { return r.cfg }
 
-// BeginCycle resets the per-cycle counters.
+// BeginCycle starts the accounting of cycle. It resets the per-cycle
+// counters only when they count another cycle, so a caller may call it
+// on every use and pays the reset once, and a cycle nothing issues in
+// pays none.
 func (r *Resources) BeginCycle(cycle int64) {
+	if cycle != r.cycle {
+		r.begin(cycle)
+	}
+}
+
+func (r *Resources) begin(cycle int64) {
 	r.cycle = cycle
 	r.intIssued, r.fpIssued = 0, 0
 	r.intUnits, r.fpUnits = 0, 0
 	r.mulUnits, r.fpmUnits = 0, 0
+	r.intHeld, r.fpHeld = 0, 0
+	if cycle < r.intBusyMax {
+		r.intHeld = divBusyCount(r.intDivBusy, cycle)
+	}
+	if cycle < r.fpBusyMax {
+		r.fpHeld = divBusyCount(r.fpDivBusy, cycle)
+	}
 }
 
 func (r *Resources) freeDiv(busy []int64) int {
@@ -105,7 +131,7 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 	// Register-file port bound: every issued instruction (copies
 	// included) occupies one read/write port pair; 0 means unbounded,
 	// the paper's model.
-	if p := r.cfg.RegPorts; p > 0 && r.intIssued+r.fpIssued >= p {
+	if r.portsFull() {
 		return false
 	}
 	f := r.cfg.FUs
@@ -126,7 +152,7 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 			return false
 		}
 		// Units occupied this cycle include divider-held units.
-		if r.intUnits+divBusyCount(r.intDivBusy, r.cycle) >= f.IntALU {
+		if r.intUnits+r.intHeld >= f.IntALU {
 			return false
 		}
 		if commit {
@@ -151,6 +177,10 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 			r.mulUnits++
 			if !pipelined {
 				r.intDivBusy[u] = r.cycle + int64(latency)
+				r.intBusyMax = max(r.intBusyMax, r.intDivBusy[u])
+				if latency > 0 {
+					r.intHeld++
+				}
 			}
 		}
 		return true
@@ -158,7 +188,7 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 		if r.fpIssued >= r.cfg.IssueFP {
 			return false
 		}
-		if r.fpUnits+divBusyCount(r.fpDivBusy, r.cycle) >= f.FPALU {
+		if r.fpUnits+r.fpHeld >= f.FPALU {
 			return false
 		}
 		if commit {
@@ -183,6 +213,10 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 			r.fpmUnits++
 			if !pipelined {
 				r.fpDivBusy[u] = r.cycle + int64(latency)
+				r.fpBusyMax = max(r.fpBusyMax, r.fpDivBusy[u])
+				if latency > 0 {
+					r.fpHeld++
+				}
 			}
 		}
 		return true
@@ -190,11 +224,26 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 	return false
 }
 
+// IntFull reports whether no integer-class instruction (copies
+// included) can issue for the rest of this cycle: the integer issue
+// width or the register-file ports are used up.
+func (r *Resources) IntFull() bool { return r.intIssued >= r.cfg.IssueInt || r.portsFull() }
+
+// FPFull reports whether no FP instruction can issue for the rest of
+// this cycle: the FP issue width or the register-file ports are used
+// up.
+func (r *Resources) FPFull() bool { return r.fpIssued >= r.cfg.IssueFP || r.portsFull() }
+
+func (r *Resources) portsFull() bool {
+	p := r.cfg.RegPorts
+	return p > 0 && r.intIssued+r.fpIssued >= p
+}
+
 // IdleIntSlots returns the unused integer issue width this cycle
 // (bounded by unit availability), used by the NREADY imbalance metric.
 func (r *Resources) IdleIntSlots() int {
 	w := r.cfg.IssueInt - r.intIssued
-	u := r.cfg.FUs.IntALU - r.intUnits - divBusyCount(r.intDivBusy, r.cycle)
+	u := r.cfg.FUs.IntALU - r.intUnits - r.intHeld
 	if u < w {
 		w = u
 	}
@@ -207,7 +256,7 @@ func (r *Resources) IdleIntSlots() int {
 // IdleFPSlots returns the unused FP issue width this cycle.
 func (r *Resources) IdleFPSlots() int {
 	w := r.cfg.IssueFP - r.fpIssued
-	u := r.cfg.FUs.FPALU - r.fpUnits - divBusyCount(r.fpDivBusy, r.cycle)
+	u := r.cfg.FUs.FPALU - r.fpUnits - r.fpHeld
 	if u < w {
 		w = u
 	}

@@ -71,7 +71,7 @@ func poolAccounting(s *Sim) (live, free int, conflict bool) {
 			// in-flight provider: any eref pointing at it must see a
 			// committed state and resolve to nil.
 			if s.nextSeq > int64(i) {
-				if r := (eref{e: e, seq: e.seq}); r.get() != nil {
+				if s.get(ref(e)) != nil {
 					conflict = true
 				}
 			}
@@ -144,7 +144,7 @@ func TestDepPoolRecyclesChunks(t *testing.T) {
 	for ci := p.depHead; ci != noChunk; ci = s.depPool[ci].next {
 		ch := &s.depPool[ci]
 		for i := int32(0); i < ch.n; i++ {
-			got = append(got, ch.refs[i].seq)
+			got = append(got, int64(ch.refs[i])-1)
 		}
 	}
 	if len(got) != n {
@@ -329,4 +329,50 @@ func BenchmarkSimSteadyState(b *testing.B) {
 // machine; CI requires 0 allocs/op here too.
 func BenchmarkSimSteadyStateAsym(b *testing.B) {
 	benchSteadyState(b, asymCfg())
+}
+
+// BenchmarkSimWindow is the cycle rung with a fixed amount of work per
+// op: cycles 5,000–25,000 of a gsmenc Sim warmed through cycle 4,999.
+// Every op rebuilds and warms its Sim outside the timer, so the op is
+// the same window whatever b.N is, and ns/cycle reads the same at any
+// -benchtime. (BenchmarkSimSteadyState times one cycle per op, wherever
+// b.N has carried the run.)
+func BenchmarkSimWindow(b *testing.B) {
+	const from, to = 5000, 25000
+	k, err := workload.ByName("gsmenc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := k.Build(200, 0)
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"sym", config.Preset(4).WithVP(config.VPStride).WithSteering(config.SteerVPB)},
+		{"asym", asymCfg()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := New(tc.cfg, prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for c := int64(0); c < from; c++ {
+					s.step(c)
+				}
+				runtime.GC() // no collection of the setup's garbage overlaps the window
+				b.StartTimer()
+				for c := int64(from); c < to; c++ {
+					s.step(c)
+				}
+				b.StopTimer()
+				if s.drained() {
+					b.Fatal("trace drained inside the window; raise the scale")
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(to-from)), "ns/cycle")
+		})
+	}
 }

@@ -451,7 +451,7 @@ func checkBitmapInvariants(t *testing.T, s *Sim, now int64) {
 		for m := word; m != 0; m &= m - 1 {
 			slot := int64(w*64 + bits.TrailingZeros64(m))
 			e := &s.ring[slot]
-			if !e.allSrcReady(now) {
+			if !s.allSrcReady(e, now) {
 				t.Fatalf("cycle %d: ready bit on slot %d (seq %d) with unready sources", now, slot, e.seq)
 			}
 		}

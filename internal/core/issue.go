@@ -13,20 +13,21 @@ import "math/bits"
 // oldest-first selection; each cluster enforces its issue widths and
 // functional units, memory operations share the L1D ports, and copies
 // reserve inter-cluster buses like any other resource (§2.1).
+//
+// A cluster's resources start the cycle's accounting at its first use
+// (cluster.Resources.BeginCycle), so a cluster select never reaches
+// costs nothing.
 func (s *Sim) issue(now int64) {
-	for c, r := range s.res {
-		r.BeginCycle(now)
+	for c := range s.res {
 		s.out.PerCluster[c].IQOccSum += uint64(s.iqCount[c])
 	}
+	s.satInt, s.satFP = 0, 0
 	dports := s.cfg.DCachePorts
 
 	// Per-cluster count of ready instructions denied by width/FU limits,
 	// for the NREADY imbalance metric (§2.3.2); the slices are Sim-owned
-	// scratch, zeroed here rather than reallocated every cycle.
+	// scratch, which accumNReady leaves zeroed for the next cycle.
 	excessInt, excessFP := s.excessInt, s.excessFP
-	for c := range excessInt {
-		excessInt[c], excessFP[c] = 0, 0
-	}
 
 	s.drainWheel(now)
 
@@ -56,11 +57,31 @@ func (s *Sim) issue(now int64) {
 		for m != 0 {
 			b := bits.TrailingZeros64(m)
 			m &^= 1 << uint(b)
-			s.tryIssueEntry(&s.ring[w<<6+b], now, &dports, excessInt, excessFP)
+			slot := w<<6 + b
+			// A plain candidate of a cluster whose width for its class
+			// is used up is denied, as TryIssue would deny it, without
+			// loading its entry.
+			if k := s.kind[slot]; k&kindPlain != 0 {
+				cl := k & kindCluster
+				if k&kindFP != 0 {
+					if s.satFP&(1<<cl) != 0 {
+						excessFP[cl]++
+						s.denied |= 1 << cl
+						continue
+					}
+				} else if s.satInt&(1<<cl) != 0 {
+					excessInt[cl]++
+					s.denied |= 1 << cl
+					continue
+				}
+			}
+			s.tryIssueEntry(&s.ring[slot], now, &dports, excessInt, excessFP)
 		}
 	}
 
-	s.accumNReady(excessInt, excessFP)
+	if s.denied != 0 {
+		s.accumNReady(excessInt, excessFP, now)
+	}
 }
 
 // tryIssueEntry attempts to issue one ready candidate, consuming L1D
@@ -76,7 +97,7 @@ func (s *Sim) tryIssueEntry(e *entry, now int64, dports *int, excessInt, excessF
 			return
 		}
 	}
-	cl := e.cluster
+	cl := int(e.cluster)
 
 	// Memory port check (shared L1D ports, Table 1: 3 R/W ports).
 	if (e.isLoad || e.isStore) && *dports == 0 {
@@ -90,25 +111,33 @@ func (s *Sim) tryIssueEntry(e *entry, now int64, dports *int, excessInt, excessF
 	// copy executes in its producer's cluster (e.cluster) and ships
 	// the value to e.dstCluster.
 	needsBus := e.isCopy || (e.isVC && !e.vcCorrect)
-	if needsBus && !s.net.CanReserve(e.cluster, e.dstCluster, now+1) {
+	if needsBus && !s.net.CanReserve(cl, int(e.dstCluster), now+1) {
 		s.out.BusStalls++
 		return
 	}
-	if !s.res[cl].TryIssue(e.class, e.lat, e.pipe) {
+	r := s.res[cl]
+	r.BeginCycle(now)
+	if !r.TryIssue(e.class, int(e.lat), e.pipe) {
 		if e.class.IsFP() {
 			excessFP[cl]++
 		} else {
 			excessInt[cl]++
 		}
+		s.denied |= 1 << uint(cl)
 		return
+	}
+	if r.IntFull() {
+		s.satInt |= 1 << uint(cl)
+	}
+	if r.FPFull() {
+		s.satFP |= 1 << uint(cl)
 	}
 
 	// Issue.
 	e.st = stIssued
-	e.issueTime = now
 	switch {
 	case e.isCopy:
-		arrival, ok := s.net.Reserve(e.cluster, e.dstCluster, now+1)
+		arrival, ok := s.net.Reserve(cl, int(e.dstCluster), now+1)
 		if !ok {
 			panic("core: route reservation failed after CanReserve")
 		}
@@ -118,7 +147,7 @@ func (s *Sim) tryIssueEntry(e *entry, now int64, dports *int, excessInt, excessF
 			// Local compare only; no wire crossed.
 			e.doneTime = now + 1
 		} else {
-			arrival, ok := s.net.Reserve(e.cluster, e.dstCluster, now+1)
+			arrival, ok := s.net.Reserve(cl, int(e.dstCluster), now+1)
 			if !ok {
 				panic("core: route reservation failed after CanReserve")
 			}
@@ -154,25 +183,28 @@ func (s *Sim) tryIssueEntry(e *entry, now int64, dports *int, excessInt, excessF
 	s.iqLeave(e)
 	// Wakeup: consumers recheck when this result becomes visible.
 	s.wakeConsumersAt(e, e.doneTime, now)
-	if e.hasVerif && now+1 < s.nextVerifMin {
-		// A pending check rides this provider; nothing resolves sooner
-		// than next cycle, and the scan there computes the exact bound.
-		s.nextVerifMin = now + 1
+	if e.hasVerif && e.doneTime < s.nextVerifMin {
+		// A pending check rides this provider. None resolves before its
+		// result is visible (a remote check resolves then, a local one
+		// a cycle later), and the scan then computes the exact bound.
+		s.nextVerifMin = e.doneTime
 	}
 }
 
 // accumNReady folds the per-cluster denial counts into NREADY: ready
 // instructions beyond their cluster's issue capacity that idle capacity
-// elsewhere could have absorbed.
-func (s *Sim) accumNReady(excessInt, excessFP []int) {
-	nc := len(s.res)
+// elsewhere could have absorbed. Only the denied clusters have counts
+// to read; it zeroes them.
+func (s *Sim) accumNReady(excessInt, excessFP []int, now int64) {
 	var nready int
-	for c := 0; c < nc; c++ {
+	for m := s.denied; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros32(m)
 		if excessInt[c] > 0 {
 			idle := 0
-			for j := 0; j < nc; j++ {
+			for j, r := range s.res {
 				if j != c {
-					idle += s.res[j].IdleIntSlots()
+					r.BeginCycle(now)
+					idle += r.IdleIntSlots()
 				}
 			}
 			if idle < excessInt[c] {
@@ -183,9 +215,10 @@ func (s *Sim) accumNReady(excessInt, excessFP []int) {
 		}
 		if excessFP[c] > 0 {
 			idle := 0
-			for j := 0; j < nc; j++ {
+			for j, r := range s.res {
 				if j != c {
-					idle += s.res[j].IdleFPSlots()
+					r.BeginCycle(now)
+					idle += r.IdleFPSlots()
 				}
 			}
 			if idle < excessFP[c] {
@@ -194,7 +227,9 @@ func (s *Sim) accumNReady(excessInt, excessFP []int) {
 				nready += excessFP[c]
 			}
 		}
+		excessInt[c], excessFP[c] = 0, 0
 	}
+	s.denied = 0
 	s.out.NReadySum += uint64(nready)
 }
 
@@ -206,11 +241,11 @@ func (s *Sim) accumNReady(excessInt, excessFP []int) {
 // youngest matching store.
 func (s *Sim) loadBlocked(load *entry, now int64) (blocked bool, fwd *entry) {
 	for _, sr := range s.activeStores {
-		st := sr.get()
+		st := s.get(sr)
 		if st == nil || st.seq > load.seq {
 			continue
 		}
-		if st.st != stIssued && !st.srcReady(0, now) {
+		if st.st != stIssued && !s.srcReady(st, 0, now) {
 			return true, nil
 		}
 		if st.addr>>3 == load.addr>>3 {
@@ -231,15 +266,21 @@ func (s *Sim) loadBlocked(load *entry, now int64) (blocked bool, fwd *entry) {
 // remote predictions verify when the verification-copy compares in the
 // producer cluster, and on mismatch the corrected value arrives over the
 // bus (§2.2, clustered extension).
+//
+// Nothing can resolve before nextVerifMin: checks against a waiting
+// provider are unlocked by that provider's issue (which lowers the bound
+// to its doneTime), and checks against an issued provider resolve at a
+// time folded into the bound when the check was queued or last scanned.
+// Skipping the scan until then changes no resolution time; the test is
+// small enough to inline, so a cycle with nothing due makes no call.
 func (s *Sim) processVerifications(now int64) {
-	// Nothing can resolve before nextVerifMin: checks against a waiting
-	// provider are unlocked by that provider's issue (which lowers the
-	// bound to now+1), and checks against an issued provider resolve at
-	// a time folded into the bound when the check was queued or last
-	// scanned. Skipping the scan until then changes no resolution time.
-	if len(s.pendingVerifs) == 0 || now < s.nextVerifMin {
-		return
+	if len(s.pendingVerifs) != 0 && now >= s.nextVerifMin {
+		s.scanVerifications(now)
 	}
+}
+
+// scanVerifications resolves every pending check that is due by now.
+func (s *Sim) scanVerifications(now int64) {
 	// In-place compaction with pointer reads: retained checks (the
 	// common case) move only after the first resolution, and nothing is
 	// copied just to be looked at.
@@ -248,45 +289,24 @@ func (s *Sim) processVerifications(now int64) {
 	j := 0
 	for i := range pv {
 		v := &pv[i]
-		var t int64
-		p := v.provider.get()
-		retain := false
-		switch {
-		case p == nil:
-			// Provider committed: its writeback long since happened.
-			t = now
-		case !v.remote:
-			if p.st != stIssued || p.doneTime+1 > now {
-				if p.st == stIssued && p.doneTime+1 < nextMin {
-					nextMin = p.doneTime + 1
-				}
-				retain = true
-			} else {
-				t = p.doneTime + 1
-			}
-		case v.correct:
-			// Verification-copy compares locally one cycle after issue.
-			if p.st != stIssued || p.issueTime+1 > now {
-				if p.st == stIssued && p.issueTime+1 < nextMin {
-					nextMin = p.issueTime + 1
-				}
-				retain = true
-			} else {
-				t = p.issueTime + 1
-			}
-		default:
-			// Mismatch: the corrected value crosses the wire; the
-			// consumer can restart when it arrives.
-			if p.st != stIssued || p.doneTime > now {
-				if p.st == stIssued && p.doneTime < nextMin {
-					nextMin = p.doneTime
-				}
-				retain = true
-			} else {
-				t = p.doneTime
+		// A committed provider's writeback long since happened.
+		t := now
+		if p := s.get(v.provider); p != nil {
+			// A local prediction verifies one cycle after the producer's
+			// writeback. A remote one verifies when its verification-copy
+			// is done: on a match that is the local compare, one cycle
+			// after issue; on a mismatch, the corrected value's arrival
+			// over the wire, when the consumer can restart. A provider
+			// still waiting has doneTime 1<<62, past every bound.
+			t = p.doneTime
+			if !v.remote {
+				t++
 			}
 		}
-		if retain {
+		if t > now {
+			if t < nextMin {
+				nextMin = t
+			}
 			if j != i {
 				pv[j] = pv[i]
 			}
@@ -300,7 +320,7 @@ func (s *Sim) processVerifications(now int64) {
 }
 
 func (s *Sim) resolveVerification(v verification, t, now int64) {
-	c := v.consumer.get()
+	c := s.get(v.consumer)
 	if c == nil {
 		return // consumer already committed (only possible when correct)
 	}
@@ -319,7 +339,7 @@ func (s *Sim) resolveVerification(v verification, t, now int64) {
 	src.predicted = false
 	src.minReady = t
 	src.provider = v.provider
-	if p := v.provider.get(); p != nil {
+	if p := s.get(v.provider); p != nil {
 		s.addDep(p, v.consumer)
 	}
 	c.unverified--
@@ -344,7 +364,7 @@ func (s *Sim) invalidate(e *entry, now int64) {
 	s.iqEnter(e)
 	s.recheckSlot(e.seq&s.ringMask, now)
 	s.out.Reissues++
-	if e.isBranch && e.mispred && s.blockingBranch.get() == nil {
+	if e.isBranch && e.mispred && s.get(s.blockingBranch) == nil {
 		// A re-executing control-mispredicted branch redirects fetch
 		// again.
 		s.blockingBranch = ref(e)
@@ -362,7 +382,7 @@ func (s *Sim) invalidate(e *entry, now int64) {
 	for ci := e.depHead; ci != noChunk; ci = s.depPool[ci].next {
 		ch := &s.depPool[ci]
 		for i := int32(0); i < ch.n; i++ {
-			if d := ch.refs[i].get(); d != nil {
+			if d := s.get(ch.refs[i]); d != nil {
 				if d.st == stIssued {
 					s.invalidate(d, now)
 				} else if d.st == stWaiting {
@@ -384,18 +404,18 @@ func (s *Sim) commit(now int64) {
 			return
 		}
 		if e.hasDest {
-			field := e.cluster
+			field := int(e.cluster)
 			if e.isCopy {
-				field = e.dstCluster
+				field = int(e.dstCluster)
 			}
 			m := s.table.Lookup(e.destLog, field)
-			if m.Valid && m.Provider.e == e && m.Provider.seq == e.seq {
-				s.table.SetProvider(e.destLog, field, eref{})
+			if m.Valid && m.Provider == ref(e) {
+				s.table.SetProvider(e.destLog, field, 0)
 			}
 			s.table.ReleaseAtCommit(e.freeAtCommit)
 		}
 		if e.isStore {
-			s.removeActiveStore(e.seq)
+			s.removeActiveStore(ref(e))
 		}
 		if !e.isCopy && !e.isVC {
 			s.out.Instructions++
@@ -407,9 +427,9 @@ func (s *Sim) commit(now int64) {
 	}
 }
 
-func (s *Sim) removeActiveStore(seq int64) {
+func (s *Sim) removeActiveStore(r eref) {
 	for i, sr := range s.activeStores {
-		if sr.seq == seq {
+		if sr == r {
 			s.activeStores = append(s.activeStores[:i], s.activeStores[i+1:]...)
 			return
 		}

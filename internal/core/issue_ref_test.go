@@ -39,13 +39,13 @@ func (s *Sim) issueRef(now int64) {
 		if e.st != stWaiting || e.dispatchTime >= now {
 			continue
 		}
-		if !e.allSrcReady(now) {
+		if !s.allSrcReady(e, now) {
 			continue
 		}
 		s.tryIssueEntry(e, now, &dports, excessInt, excessFP)
 	}
 
-	s.accumNReady(excessInt, excessFP)
+	s.accumNReady(excessInt, excessFP, now)
 }
 
 // dropWheelSlot discards this cycle's pending events unprocessed

@@ -21,6 +21,10 @@ package core
 //     mask: one bit per ring slot holding an entry that named p as a
 //     source provider. Wakeup on producer completion is a word-OR of
 //     that row into recheckW.
+//   - kind holds, per ring slot, what select needs to turn a waiting
+//     entry away without loading it: its cluster, whether its class is
+//     FP, and whether issue checks nothing but the cluster's resources
+//     for it (no load, store, copy or forwarding verification-copy).
 //   - wheel is a timing wheel of wakeup events. A producer pushes one
 //     completion event at issue time, keyed by its doneTime; when it
 //     fires, every flagged consumer recomputes its readiness.
@@ -37,8 +41,9 @@ package core
 import "math/bits"
 
 const (
-	// depChunkSize is the consumer-edge payload of one dep chunk.
-	depChunkSize = 14
+	// depChunkSize is the consumer-edge payload of one dep chunk: a
+	// chunk is then 128 bytes, two cache lines.
+	depChunkSize = 15
 
 	// wheelCap bounds how far ahead a wakeup can be scheduled directly;
 	// farther events chain through the last wheel slot and reschedule
@@ -53,6 +58,12 @@ const (
 	// evChunkSize is the event payload of one wheel chunk.
 	evChunkSize = 30
 
+	// kind byte layout: the cluster in the low five bits (MaxClusters
+	// is 32), then the class and issue-path flags.
+	kindCluster = 1<<5 - 1
+	kindFP      = 1 << 5
+	kindPlain   = 1 << 6
+
 	// noChunk terminates a dep or event chain.
 	noChunk = -1
 )
@@ -63,7 +74,8 @@ const (
 // high-water mark is global, unlike the previous per-ring-slot deps
 // slices, each of which had to individually warm up to its own maximum
 // fanout (the source of the residual B/op the benchmarks caught).
-// Index links, not pointers, so the pool backing array may grow.
+// Index links and seq-valued erefs, not pointers, so the pool backing
+// array may grow and the garbage collector never scans it.
 type depChunk struct {
 	n    int32
 	next int32
@@ -92,6 +104,15 @@ type sched struct {
 	// consDirty flags ring slots with a nonzero consumer mask, so slot
 	// recycling skips the row clear for the common consumer-less case.
 	consDirty []uint64
+	kind      []uint8 // per-slot cluster and issue flags, set at IQ entry
+	// satInt and satFP flag, for the current cycle's select, the
+	// clusters whose integer or FP issue width (or register ports) are
+	// used up; denied flags the clusters with a nonzero count in
+	// excessInt or excessFP.
+	satInt, satFP, denied uint32
+	// iqOver flags the clusters whose IQ holds more entries than its
+	// size: a reissued entry re-enters its IQ whatever the occupancy.
+	iqOver uint32
 
 	wheelHead [wheelCap]int32
 	wheelTail [wheelCap]int32
@@ -132,6 +153,12 @@ func (s *Sim) resetSched(nc int) {
 	s.readyW = zeroed(s.readyW, nw)
 	s.recheckW = zeroed(s.recheckW, nw)
 	s.consDirty = zeroed(s.consDirty, nw)
+	if cap(s.kind) < slots {
+		s.kind = make([]uint8, slots)
+	} else {
+		s.kind = s.kind[:slots]
+		clear(s.kind)
+	}
 	if cap(s.cons) < slots*nw {
 		s.cons = make([]uint64, slots*nw)
 	} else {
@@ -153,6 +180,7 @@ func (s *Sim) resetSched(nc int) {
 	}
 	s.evFree = noChunk
 	s.nextVerifMin = 0
+	s.satInt, s.satFP, s.denied, s.iqOver = 0, 0, 0, 0
 }
 
 // zeroed returns b resliced to n zero words, reallocating only when b's
@@ -206,7 +234,7 @@ func (s *Sim) addDep(p *entry, r eref) {
 	c.refs[c.n] = r
 	c.n++
 	pslot := p.seq & s.ringMask
-	cslot := r.seq & s.ringMask
+	cslot := (int64(r) - 1) & s.ringMask
 	s.cons[int(pslot)*s.nw+int(cslot>>6)] |= 1 << uint(cslot&63)
 	s.consDirty[pslot>>6] |= 1 << uint(pslot&63)
 }
@@ -232,16 +260,30 @@ func (s *Sim) releaseDeps(e *entry, slot int64) {
 
 func (s *Sim) iqEnter(e *entry) {
 	slot := e.seq & s.ringMask
-	s.iqW[e.cluster*s.nw+int(slot>>6)] |= 1 << uint(slot&63)
+	s.iqW[int(e.cluster)*s.nw+int(slot>>6)] |= 1 << uint(slot&63)
 	s.iqCount[e.cluster]++
+	if s.iqCount[e.cluster] > s.iqSize[e.cluster] {
+		s.iqOver |= 1 << uint(e.cluster)
+	}
+	k := uint8(e.cluster)
+	if e.class.IsFP() {
+		k |= kindFP
+	}
+	if !e.isLoad && !e.isStore && !e.isCopy && !(e.isVC && !e.vcCorrect) {
+		k |= kindPlain
+	}
+	s.kind[slot] = k
 }
 
 func (s *Sim) iqLeave(e *entry) {
 	slot := e.seq & s.ringMask
 	m := ^(uint64(1) << uint(slot&63))
-	s.iqW[e.cluster*s.nw+int(slot>>6)] &= m
+	s.iqW[int(e.cluster)*s.nw+int(slot>>6)] &= m
 	s.readyW[slot>>6] &= m
 	s.iqCount[e.cluster]--
+	if s.iqOver != 0 && s.iqCount[e.cluster] <= s.iqSize[e.cluster] {
+		s.iqOver &^= 1 << uint(e.cluster)
+	}
 }
 
 func (s *Sim) setReady(slot int64)   { s.readyW[slot>>6] |= 1 << uint(slot&63) }
@@ -294,13 +336,17 @@ func (s *Sim) wakeConsumersAt(p *entry, t, now int64) {
 
 // drainWheel fires this cycle's wakeup events: producer completions
 // word-OR their consumer masks into recheckW, direct rechecks set their
-// own bit, and then every flagged slot recomputes its readiness.
+// own bit, and then every flagged slot recomputes its readiness. The
+// empty-slot test inlines, so a cycle without events makes no call.
 func (s *Sim) drainWheel(now int64) {
-	wi := now & wheelMask
-	head := s.wheelHead[wi]
-	if head == noChunk {
-		return
+	if head := s.wheelHead[now&wheelMask]; head != noChunk {
+		s.fireWheel(now, head)
 	}
+}
+
+// fireWheel fires the event chain head of this cycle's wheel slot.
+func (s *Sim) fireWheel(now int64, head int32) {
+	wi := now & wheelMask
 	// Detach the chain before firing. Processing only schedules into
 	// future cycles (re-arms use doneTime > now, rechecks wake > now),
 	// never back into this slot. Events are read by pool index, not
@@ -359,7 +405,7 @@ func (s *Sim) recheckSlot(slot, now int64) {
 	}
 	ready := true
 	var wake int64
-	for i := 0; i < e.nsrc; i++ {
+	for i := 0; i < int(e.nsrc); i++ {
 		src := &e.src[i]
 		if src.predicted {
 			continue
@@ -371,7 +417,7 @@ func (s *Sim) recheckSlot(slot, now int64) {
 			}
 			continue
 		}
-		p := src.provider.get()
+		p := s.get(src.provider)
 		if p == nil {
 			continue
 		}

@@ -36,10 +36,11 @@ type Sim struct {
 	// src streams the dynamic instructions; it is either an in-process
 	// functional executor or a .cvt file reader — the timing model
 	// cannot tell the difference.
-	src      trace.Source
-	peekBuf  trace.DynInst
-	havePeek bool
-	trDone   bool
+	src trace.Source
+	// fetchHeld marks a record read from src into the fetch queue's tail
+	// slot but not yet admitted: its I-cache line is still arriving.
+	fetchHeld bool
+	trDone    bool
 
 	bp     *bpred.Unit
 	vp     vpred.Predictor
@@ -96,13 +97,10 @@ type Sim struct {
 	// Per-instruction and per-cycle scratch, hoisted out of the hot
 	// loop so steady-state simulation performs zero heap allocations
 	// (see BenchmarkSimSteadyState and TestSteadyStateAllocFree).
+	// views[j] and steerOps[j] are the two halves of the analysis of an
+	// instruction's j-th non-R0 source operand.
 	views     [trace.MaxSrc]opView
 	steerOps  [trace.MaxSrc]steer.Operand
-	plans     [trace.MaxSrc]copyPlan
-	verifs    [trace.MaxSrc]verification
-	consSrcs  [trace.MaxSrc]source
-	iqNeed    []int
-	regNeed   []int
 	excessInt []int
 	excessFP  []int
 
@@ -205,8 +203,7 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 
 	s.cfg = cfg
 	s.src = src
-	s.peekBuf = trace.DynInst{}
-	s.havePeek = false
+	s.fetchHeld = false
 	s.trDone = false
 
 	// Peripherals that are a handful of small allocations are rebuilt
@@ -230,14 +227,11 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 		s.iqCount = make([]int, nc)
 		s.iqSize = make([]int, nc)
 		s.bypass = make([]int64, nc)
-		s.iqNeed = make([]int, nc)
-		s.regNeed = make([]int, nc)
 		s.excessInt = make([]int, nc)
 		s.excessFP = make([]int, nc)
 	} else {
 		for c := 0; c < nc; c++ {
 			s.iqCount[c] = 0
-			s.iqNeed[c], s.regNeed[c] = 0, 0
 			s.excessInt[c], s.excessFP[c] = 0, 0
 		}
 	}
@@ -249,7 +243,7 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 	s.fqHead, s.fqLen = 0, 0
 	s.fetchReadyTime = 0
 	s.lastFetchLine = -1
-	s.blockingBranch = eref{}
+	s.blockingBranch = 0
 	s.fetchBlockedPreDisp = false
 	s.pendingVerifs = s.pendingVerifs[:0]
 	s.activeStores = s.activeStores[:0]
@@ -257,9 +251,6 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 
 	s.views = [trace.MaxSrc]opView{}
 	s.steerOps = [trace.MaxSrc]steer.Operand{}
-	s.plans = [trace.MaxSrc]copyPlan{}
-	s.verifs = [trace.MaxSrc]verification{}
-	s.consSrcs = [trace.MaxSrc]source{}
 
 	s.progFn = nil
 	s.progEvery, s.progNext = 0, 0
@@ -352,25 +343,6 @@ func (s *Sim) resetRing(nc, slots int) {
 	s.resetSched(nc)
 }
 
-// peek returns the next dynamic instruction without consuming it. The
-// record lives in a Sim-owned buffer so peeking never heap-allocates.
-func (s *Sim) peek() *trace.DynInst {
-	if s.havePeek {
-		return &s.peekBuf
-	}
-	if s.trDone {
-		return nil
-	}
-	if !s.src.Next(&s.peekBuf) {
-		s.trDone = true
-		return nil
-	}
-	s.havePeek = true
-	return &s.peekBuf
-}
-
-func (s *Sim) consume() { s.havePeek = false }
-
 // step advances the machine by one cycle: verification, commit, issue,
 // dispatch and fetch, in the reverse-pipeline order the paper's
 // simulator uses so each stage sees the previous cycle's state.
@@ -402,7 +374,7 @@ func (s *Sim) endCycle(cycle int64) {
 
 // drained reports whether the trace is exhausted and the pipeline empty.
 func (s *Sim) drained() bool {
-	return s.trDone && !s.havePeek && s.robCount == 0 && s.fqLen == 0
+	return s.trDone && !s.fetchHeld && s.robCount == 0 && s.fqLen == 0
 }
 
 // Run simulates until the trace drains and the pipeline empties, then
@@ -469,8 +441,8 @@ func (s *Sim) describeHead(now int64) string {
 	e := &s.ring[s.headSeq&s.ringMask]
 	msg := fmt.Sprintf("head seq=%d pc=%d op=%v st=%d cluster=%d unverified=%d",
 		e.seq, e.pc, e.op, e.st, e.cluster, e.unverified)
-	for i := 0; i < e.nsrc; i++ {
-		msg += fmt.Sprintf(" src%d(ready=%v pred=%v)", i, e.srcReady(i, now), e.src[i].predicted)
+	for i := 0; i < int(e.nsrc); i++ {
+		msg += fmt.Sprintf(" src%d(ready=%v pred=%v)", i, s.srcReady(e, i, now), e.src[i].predicted)
 	}
 	return msg
 }
@@ -482,11 +454,11 @@ func (s *Sim) fetch(now int64) {
 	if s.fetchBlockedPreDisp {
 		return
 	}
-	if b := s.blockingBranch.get(); b != nil {
+	if b := s.get(s.blockingBranch); b != nil {
 		if !b.resolved(now) {
 			return
 		}
-		s.blockingBranch = eref{}
+		s.blockingBranch = 0
 		if t := b.doneTime + 1; t > s.fetchReadyTime {
 			s.fetchReadyTime = t
 		}
@@ -494,17 +466,25 @@ func (s *Sim) fetch(now int64) {
 		s.lastFetchLine = -1
 	} else if !s.blockingBranch.zero() {
 		// The branch committed while we were blocked (resolved earlier).
-		s.blockingBranch = eref{}
+		s.blockingBranch = 0
 		s.lastFetchLine = -1
 	}
 	if now < s.fetchReadyTime {
 		return
 	}
 	for n := 0; n < s.cfg.FetchWidth && s.fqLen < fetchQCap; n++ {
-		d := s.peek()
-		if d == nil {
-			return
+		// The source writes straight into the queue's tail slot. Dispatch
+		// drains the head, which moves fqHead and fqLen together, so the
+		// tail slot stays put while a record is held in it.
+		f := &s.fetchQ[(s.fqHead+s.fqLen)%fetchQCap]
+		if !s.fetchHeld {
+			if s.trDone || !s.src.Next(&f.dyn) {
+				s.trDone = true
+				return
+			}
+			s.fetchHeld = true
 		}
+		d := &f.dyn
 		// Instruction-cache access once per 32-byte line.
 		line := int64(d.PC) * 4 / 32
 		if line != s.lastFetchLine {
@@ -516,17 +496,14 @@ func (s *Sim) fetch(now int64) {
 				return
 			}
 		}
-		f := fetched{dyn: *d, fetchTime: now}
-		info := d.Info()
-		if info.IsBranch {
+		s.fetchHeld = false
+		f.fetchTime = now
+		f.mispred = false
+		f.vpDone = false
+		if isa.InfoFor(d.Inst.Op).IsBranch {
 			predNext, _ := s.bp.PredictNext(d.PC, d.Inst)
-			correct := s.bp.Resolve(d.PC, d.Inst, d.NextPC, d.Taken, predNext)
-			if !correct {
-				f.mispred = true
-			}
+			f.mispred = !s.bp.Resolve(d.PC, d.Inst, d.NextPC, d.Taken, predNext)
 		}
-		s.consume()
-		s.fetchQ[(s.fqHead+s.fqLen)%fetchQCap] = f
 		s.fqLen++
 		if f.mispred {
 			// Fetch cannot proceed past a mispredicted branch until it
@@ -538,16 +515,15 @@ func (s *Sim) fetch(now int64) {
 	}
 }
 
-// alloc claims the next ROB ring slot, returning the previous
+// alloc claims ring slot seq for a new entry, returning the previous
 // occupant's dependence-edge chunks to the shared pool and clearing the
 // slot's consumer mask. The pool's high-water mark is global, so after
-// warmup recycling never heap-allocates.
-func (s *Sim) alloc() *entry {
-	slot := s.nextSeq & s.ringMask
+// warmup recycling never heap-allocates. The caller advances nextSeq.
+func (s *Sim) alloc(seq int64) *entry {
+	slot := seq & s.ringMask
 	e := &s.ring[slot]
 	s.releaseDeps(e, slot)
-	*e = entry{seq: s.nextSeq, doneTime: 1 << 62, depHead: noChunk, depTail: noChunk}
-	s.nextSeq++
+	*e = entry{seq: seq, doneTime: 1 << 62, depHead: noChunk, depTail: noChunk}
 	s.robCount++
 	return e
 }
@@ -570,70 +546,54 @@ func (s *Sim) dispatch(now int64) {
 	}
 }
 
-// opView captures the per-operand analysis shared by steering and rename.
+// opView is the rename-side analysis of one non-R0 source operand; its
+// steering-side half (availability, mapped clusters, home cluster,
+// confident prediction) is the steer.Operand at the same index of
+// steerOps, which steering reads in place.
 type opView struct {
-	reg      isa.RegID
-	isFP     bool
-	constant bool // R0: always ready, never renamed
-	avail    bool
-	mapped   uint32
-	home     int
 	homeProv eref // provider of the home-cluster mapping (snapshot)
-	conf     bool // confident prediction available
-	correct  bool
+	idx      int  // operand index in the instruction
+	reg      isa.RegID
+	correct  bool // the prediction, if confident, is right
 }
 
-// analyzeOperands fills the Sim-owned operand-view scratch buffer and
-// returns the populated prefix; the views stay valid until the next
-// call (dispatch is strictly sequential, so nothing ever holds two
-// instructions' views at once).
-func (s *Sim) analyzeOperands(now int64, f *fetched) []opView {
-	nsrc := f.dyn.Info().NumSrc
-	views := s.views[:nsrc]
-	if !f.vpDone {
-		// Decode-time predictor lookup and training, once per dynamic
-		// instruction (§2.2: predictions available and tables updated at
-		// decode).
-		for i := 0; i < nsrc; i++ {
-			r := f.dyn.Inst.Source(i)
-			if r == isa.R0 {
-				continue
-			}
-			_, conf, correct := s.vp.PredictAndTrain(f.dyn.PC, i, r.IsFP(), f.dyn.SrcVal[i])
-			f.vpConf[i] = conf && s.cfg.VP != config.VPNone
-			f.vpCorrect[i] = correct
-		}
-		f.vpDone = true
-	}
-	for i := range views {
+// analyzeOperands analyzes the first nsrc source operands of f in one
+// pass: it trains the value predictor (once per dynamic instruction,
+// however often dispatch retries) and fills steerOps and views for
+// every operand but R0, which is always ready and never renamed or
+// steered by. It returns the number of views filled; they stay valid
+// until the next call (dispatch is strictly sequential).
+func (s *Sim) analyzeOperands(now int64, f *fetched, nsrc int) int {
+	train := !f.vpDone
+	f.vpDone = true
+	k := 0
+	for i := 0; i < nsrc; i++ {
 		r := f.dyn.Inst.Source(i)
-		v := &views[i]
-		*v = opView{}
-		v.reg = r
-		v.isFP = r.IsFP()
 		if r == isa.R0 {
-			v.constant = true
-			v.avail = true
 			continue
 		}
-		v.home = s.table.Home(r)
-		v.mapped = s.table.MappedMask(r)
-		m := s.table.Lookup(r, v.home)
-		v.homeProv = m.Provider
-		p := m.Provider.get()
-		v.avail = p == nil || p.done(now)
-		v.conf = f.vpConf[i]
-		v.correct = f.vpCorrect[i]
+		if train {
+			// Decode-time predictor lookup and training (§2.2: predictions
+			// available and tables updated at decode).
+			conf, correct := false, false
+			if s.cfg.VP != config.VPNone {
+				_, conf, correct = s.vp.PredictAndTrain(f.dyn.PC, i, r.IsFP(), f.dyn.SrcVal[i])
+			}
+			f.vpConf[i], f.vpCorrect[i] = conf, correct
+		}
+		home := s.table.Home(r)
+		prov := s.table.Lookup(r, home).Provider
+		p := s.get(prov)
+		s.steerOps[k] = steer.Operand{
+			Available:       p == nil || p.done(now),
+			MappedIn:        s.table.MappedMask(r),
+			ProducerCluster: home,
+			Predicted:       f.vpConf[i],
+		}
+		s.views[k] = opView{homeProv: prov, idx: i, reg: r, correct: f.vpCorrect[i]}
+		k++
 	}
-	return views
-}
-
-// copyPlan records one copy or verification-copy an instruction's
-// dispatch will generate.
-type copyPlan struct {
-	opIdx int
-	isVC  bool
-	home  int
+	return k
 }
 
 // dispatchOne renames, steers and inserts one instruction (plus its
@@ -641,191 +601,102 @@ type copyPlan struct {
 // exhausted and dispatch must retry next cycle. All intermediate
 // per-instruction state lives in Sim-owned scratch buffers.
 func (s *Sim) dispatchOne(now int64, f *fetched) bool {
-	views := s.analyzeOperands(now, f)
-	info := f.dyn.Info()
-
-	// Steering.
-	ops := s.steerOps[:0]
-	for _, v := range views {
-		if v.constant {
-			continue
-		}
-		ops = append(ops, steer.Operand{
-			Available:       v.avail,
-			MappedIn:        v.mapped,
-			ProducerCluster: v.home,
-			Predicted:       v.conf,
-		})
-	}
-	cl := s.str.Choose(ops)
-
-	// Plan resource needs.
-	plans := s.plans[:0]
-	for i := range views {
-		v := &views[i]
-		if v.constant {
-			continue
-		}
-		if v.mapped&(1<<uint(cl)) != 0 {
-			continue // mapped in target cluster: read locally (maybe predicted)
-		}
-		plans = append(plans, copyPlan{opIdx: i, isVC: v.conf, home: v.home})
-	}
-
-	hasDest := false
-	var destLog isa.RegID
-	if d, ok := f.dyn.Inst.Dest(); ok && d != isa.R0 {
-		hasDest = true
-		destLog = d
-	}
-
-	// Structural checks: ROB, IQ and registers for the instruction and
-	// every generated copy.
-	if s.robCount+1+len(plans) > s.cfg.ROBSize {
+	if s.robCount >= s.cfg.ROBSize {
+		// No steering or copy plan fits a full ROB. Skipping the operand
+		// analysis defers nothing observable: the predictor is trained
+		// at the first attempt that analyzes, still in program order.
 		s.out.DispatchStallROB++
 		return false
 	}
-	iqNeed, regNeed := s.iqNeed, s.regNeed
-	for c := range iqNeed {
-		iqNeed[c], regNeed[c] = 0, 0
-	}
-	iqNeed[cl]++
+	info := f.dyn.Info()
+	k := s.analyzeOperands(now, f, info.NumSrc)
+	ops, views := s.steerOps[:k], s.views[:k]
+	cl := s.str.Choose(ops)
+	clBit := uint32(1) << uint(cl)
+	hasDest := info.HasDest && f.dyn.Inst.Rd != isa.R0
+
+	// Plan resource needs. An operand not mapped in cl is read through a
+	// copy, or a verification-copy when predicted, issued in its home
+	// cluster; a plain copy also allocates the value's register in cl.
+	regNeed := 0 // registers in cl; no other cluster allocates one
 	if hasDest {
-		regNeed[cl]++
+		regNeed++
 	}
-	for _, p := range plans {
-		iqNeed[p.home]++
-		if !p.isVC {
-			regNeed[cl]++ // plain copies allocate the value's register in the consumer cluster
+	var homes [trace.MaxSrc]int
+	ncopies := 0
+	for j := range ops {
+		op := &ops[j]
+		if op.MappedIn&clBit != 0 {
+			continue // mapped in target cluster: read locally (maybe predicted)
 		}
-	}
-	for c := 0; c < len(s.iqCount); c++ {
-		if s.iqCount[c]+iqNeed[c] > s.iqSize[c] {
-			s.out.DispatchStallIQ++
-			return false
-		}
-		if !s.table.CanAlloc(c, regNeed[c]) {
-			s.out.DispatchStallRegs++
-			return false
+		homes[ncopies] = op.ProducerCluster
+		ncopies++
+		if !op.Predicted {
+			regNeed++
 		}
 	}
 
-	// Create copies and verification-copies (they precede the consumer
-	// in ROB order).
-	consumerSrcs := s.consSrcs[:len(views)]
-	verifs := s.verifs[:0]
-	for i := range views {
-		v := &views[i]
-		consumerSrcs[i] = source{reg: v.reg, isFP: v.isFP}
-		if v.constant {
-			continue
+	// Structural checks: ROB, IQ and registers for the instruction and
+	// every generated copy. The instruction takes an IQ slot in cl, each
+	// copy one in its home, never cl (a register is always mapped in its
+	// home). The stall is the one a scan of the clusters in index order
+	// meets first, checking a cluster's IQ before cl's registers: an IQ
+	// short at or below cl, else cl's registers, else any IQ short. A
+	// cluster needing no slot is short only when reissues have refilled
+	// its IQ past capacity (iqOver).
+	if s.robCount+1+ncopies > s.cfg.ROBSize {
+		s.out.DispatchStallROB++
+		return false
+	}
+	short := s.iqOver
+	if s.iqCount[cl] >= s.iqSize[cl] {
+		short |= clBit
+	}
+	for _, h := range homes[:ncopies] {
+		need := 0
+		for _, g := range homes[:ncopies] {
+			if g == h {
+				need++
+			}
 		}
-		mapping := s.table.Lookup(v.reg, cl)
-		if mapping.Valid {
-			prov := mapping.Provider
-			p := prov.get()
-			if p == nil || p.done(now) {
-				// Ready locally.
-				continue
-			}
-			if v.conf {
-				// Local predicted speculation: verified at the
-				// provider's writeback (§2.2).
-				consumerSrcs[i].predicted = true
-				consumerSrcs[i].predCorrect = v.correct
-				verifs = append(verifs, verification{opIdx: i, provider: prov, correct: v.correct})
-				p.hasVerif = true
-				if p.st == stIssued && p.doneTime+1 < s.nextVerifMin {
-					s.nextVerifMin = p.doneTime + 1
-				}
-				s.out.PredictedOperandsUsed++
-			} else {
-				consumerSrcs[i].provider = prov
-			}
-			continue
-		}
-		// Unmapped in the target cluster: copy or verification-copy.
-		// The home-cluster mapping is untouched since analyzeOperands
-		// (earlier operands only AddCopy into the target cluster), so
-		// the snapshotted provider is still current.
-		home := v.home
-		homeProv := v.homeProv
-		if v.conf {
-			vc := s.alloc()
-			vc.isVC = true
-			vc.class = isa.ClassNone
-			vc.lat = 1
-			vc.pipe = true
-			vc.cluster = home
-			vc.dstCluster = cl
-			vc.nsrc = 1
-			vc.src[0] = source{reg: v.reg, isFP: v.isFP, provider: homeProv}
-			vc.dispatchTime = now
-			vc.vcCorrect = v.correct
-			vc.hasVerif = true
-			s.iqEnter(vc)
-			// Inline readiness: a freshly dispatched entry has no minReady
-			// bound, so it is ready exactly when its provider's result is
-			// visible. A pending issued provider needs no recheck event —
-			// every issued-not-done entry keeps one completion event armed
-			// on the wheel (re-armed on horizon chaining), which fires the
-			// consumer-mask wakeup this addDep just registered for.
-			if hp := homeProv.get(); hp != nil {
-				s.addDep(hp, ref(vc))
-				if hp.done(now) {
-					s.setReady(vc.seq & s.ringMask)
-				}
-			} else {
-				s.setReady(vc.seq & s.ringMask)
-			}
-			s.out.VerifyCopies++
-			s.out.PerCluster[home].CopiesOut++
-			consumerSrcs[i].predicted = true
-			consumerSrcs[i].predCorrect = v.correct
-			verifs = append(verifs, verification{opIdx: i, provider: ref(vc), remote: true, correct: v.correct})
-			s.out.PredictedOperandsUsed++
-		} else {
-			cp := s.alloc()
-			cp.isCopy = true
-			cp.class = isa.ClassNone
-			cp.lat = 1
-			cp.pipe = true
-			cp.cluster = home
-			cp.dstCluster = cl
-			cp.hasDest = true
-			cp.destLog = v.reg
-			cp.nsrc = 1
-			cp.src[0] = source{reg: v.reg, isFP: v.isFP, provider: homeProv}
-			cp.dispatchTime = now
-			if !s.table.AddCopy(v.reg, cl, ref(cp)) {
-				panic("core: copy register allocation failed after CanAlloc")
-			}
-			s.iqEnter(cp)
-			if hp := homeProv.get(); hp != nil {
-				s.addDep(hp, ref(cp))
-				if hp.done(now) {
-					s.setReady(cp.seq & s.ringMask)
-				}
-			} else {
-				s.setReady(cp.seq & s.ringMask)
-			}
-			s.out.Copies++
-			s.out.PerCluster[home].CopiesOut++
-			consumerSrcs[i].provider = ref(cp)
+		if s.iqCount[h]+need > s.iqSize[h] {
+			short |= 1 << uint(h)
 		}
 	}
+	if short&(clBit<<1-1) != 0 {
+		s.out.DispatchStallIQ++
+		return false
+	}
+	if !s.table.CanAlloc(cl, regNeed) {
+		s.out.DispatchStallRegs++
+		return false
+	}
+	if short != 0 {
+		s.out.DispatchStallIQ++
+		return false
+	}
 
-	// The consumer itself.
-	e := s.alloc()
-	e.pc = f.dyn.PC
+	// The copies and verification-copies precede the consumer in ROB
+	// order. A second operand naming the register a first one gets a
+	// plain copy of reads that copy instead of getting its own, so the
+	// consumer's seq is known before any copy exists, and its sources,
+	// dependence edges and verifications are written in place.
+	nalloc := ncopies
+	if k == 2 && views[0].reg == views[1].reg && ops[0].MappedIn&clBit == 0 && !ops[0].Predicted {
+		nalloc--
+	}
+	e := s.alloc(s.nextSeq + int64(nalloc))
+	er := ref(e)
+	e.pc = int32(f.dyn.PC)
 	e.op = f.dyn.Inst.Op
 	e.class = info.Class
-	e.lat = info.Latency
+	e.lat = int32(info.Latency)
 	e.pipe = info.Pipelined
-	e.cluster = cl
-	e.nsrc = len(views)
-	for i := range consumerSrcs {
-		e.src[i] = consumerSrcs[i]
+	e.cluster = int16(cl)
+	e.nsrc = uint8(info.NumSrc)
+	for i := 0; i < info.NumSrc; i++ {
+		r := f.dyn.Inst.Source(i)
+		e.src[i] = source{reg: r, isFP: r.IsFP()}
 	}
 	e.dispatchTime = now
 	e.isBranch = info.IsBranch
@@ -834,32 +705,72 @@ func (s *Sim) dispatchOne(now int64, f *fetched) bool {
 	e.isStore = info.IsStore
 	e.addr = f.dyn.Addr
 
-	// Register dependence edges for the reissue cascade and bitmap
-	// wakeup, computing initial readiness in the same pass (predicted
-	// operands are covered, and pending issued providers carry the
-	// armed completion event that will wake this entry).
+	// Rename the sources, registering dependence edges for the reissue
+	// cascade and bitmap wakeup and computing initial readiness in the
+	// same pass (predicted operands are covered, and pending issued
+	// providers carry the armed completion event that will wake this
+	// entry).
 	ready := true
-	for i := 0; i < e.nsrc; i++ {
-		src := &e.src[i]
-		if src.predicted {
-			continue
-		}
-		if p := src.provider.get(); p != nil {
-			s.addDep(p, ref(e))
-			if !p.done(now) {
+	for j := range views {
+		v, op := &views[j], &ops[j]
+		src := &e.src[v.idx]
+		if mapping := s.table.Lookup(v.reg, cl); mapping.Valid {
+			prov := mapping.Provider
+			p := s.get(prov)
+			if p == nil || p.done(now) {
+				// Ready locally.
+				continue
+			}
+			if op.Predicted {
+				// Local predicted speculation: verified at the
+				// provider's writeback (§2.2).
+				src.predicted = true
+				src.predCorrect = v.correct
+				s.pendingVerifs = append(s.pendingVerifs, verification{consumer: er, provider: prov, opIdx: int32(v.idx), correct: v.correct})
+				e.unverified++
+				p.hasVerif = true
+				if p.st == stIssued && p.doneTime+1 < s.nextVerifMin {
+					s.nextVerifMin = p.doneTime + 1
+				}
+				s.out.PredictedOperandsUsed++
+			} else {
+				src.provider = prov
+				s.addDep(p, er)
 				ready = false
 			}
+			continue
+		}
+		// Unmapped in the target cluster: copy or verification-copy.
+		// The home-cluster mapping is untouched since analyzeOperands
+		// (earlier operands only AddCopy into the target cluster), so
+		// the snapshotted provider is still current.
+		home := op.ProducerCluster
+		c := s.dispatchCopy(now, v.reg, home, cl, v.homeProv, op.Predicted, v.correct)
+		if op.Predicted {
+			s.out.VerifyCopies++
+			src.predicted = true
+			src.predCorrect = v.correct
+			s.pendingVerifs = append(s.pendingVerifs, verification{consumer: er, provider: ref(c), opIdx: int32(v.idx), remote: true, correct: v.correct})
+			e.unverified++
+			s.out.PredictedOperandsUsed++
+		} else {
+			if !s.table.AddCopy(v.reg, cl, ref(c)) {
+				panic("core: copy register allocation failed after CanAlloc")
+			}
+			s.out.Copies++
+			src.provider = ref(c)
+			s.addDep(c, er)
+			ready = false
 		}
 	}
-	// Pending verifications now that the consumer exists.
-	for _, v := range verifs {
-		v.consumer = ref(e)
-		s.pendingVerifs = append(s.pendingVerifs, v)
-		e.unverified++
+	if s.nextSeq != e.seq {
+		panic("core: copies allocated around the consumer's slot")
 	}
+	s.nextSeq++
 
 	if hasDest {
-		free, ok := s.table.Rename(destLog, cl, ref(e))
+		destLog := f.dyn.Inst.Rd
+		free, ok := s.table.Rename(destLog, cl, er)
 		if !ok {
 			panic("core: destination register allocation failed after CanAlloc")
 		}
@@ -868,7 +779,7 @@ func (s *Sim) dispatchOne(now int64, f *fetched) bool {
 		e.freeAtCommit = free
 	}
 	if e.isStore {
-		s.activeStores = append(s.activeStores, ref(e))
+		s.activeStores = append(s.activeStores, er)
 	}
 	s.iqEnter(e)
 	if ready {
@@ -878,8 +789,51 @@ func (s *Sim) dispatchOne(now int64, f *fetched) bool {
 	s.out.PerCluster[cl].Dispatched++
 
 	if f.mispred {
-		s.blockingBranch = ref(e)
+		s.blockingBranch = er
 		s.fetchBlockedPreDisp = false
 	}
 	return true
+}
+
+// dispatchCopy allocates and enters the IQ a copy of reg's value, issued
+// in cluster home for delivery to cluster cl, reading provider prov: a
+// verification-copy when vc, whose prediction is then correct or not,
+// else a plain copy, which writes reg in cl.
+func (s *Sim) dispatchCopy(now int64, reg isa.RegID, home, cl int, prov eref, vc, correct bool) *entry {
+	c := s.alloc(s.nextSeq)
+	s.nextSeq++
+	if vc {
+		c.isVC = true
+		c.vcCorrect = correct
+		c.hasVerif = true
+	} else {
+		c.isCopy = true
+		c.hasDest = true
+		c.destLog = reg
+	}
+	c.class = isa.ClassNone
+	c.lat = 1
+	c.pipe = true
+	c.cluster = int16(home)
+	c.dstCluster = int16(cl)
+	c.nsrc = 1
+	c.src[0] = source{reg: reg, isFP: reg.IsFP(), provider: prov}
+	c.dispatchTime = now
+	s.iqEnter(c)
+	// Inline readiness: a freshly dispatched entry has no minReady
+	// bound, so it is ready exactly when its provider's result is
+	// visible. A pending issued provider needs no recheck event — every
+	// issued-not-done entry keeps one completion event armed on the
+	// wheel (re-armed on horizon chaining), which fires the
+	// consumer-mask wakeup this addDep just registered for.
+	if p := s.get(prov); p != nil {
+		s.addDep(p, ref(c))
+		if p.done(now) {
+			s.setReady(c.seq & s.ringMask)
+		}
+	} else {
+		s.setReady(c.seq & s.ringMask)
+	}
+	s.out.PerCluster[home].CopiesOut++
+	return c
 }

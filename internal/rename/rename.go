@@ -70,9 +70,15 @@ func (f *FreeList) Release(n int) {
 type Table[P any] struct {
 	clusters int
 	fields   []Mapping[P] // flattened [logical][cluster]
-	mask     []uint32     // per-register bitmask of valid fields
-	home     []int        // cluster of the current writer
-	free     []*FreeList
+	regs     []regState
+	free     []FreeList
+}
+
+// regState is the per-register summary dispatch reads beside the
+// fields: one load yields both.
+type regState struct {
+	mask uint32 // bitmask of valid fields
+	home int32  // cluster of the current writer
 }
 
 // New builds a map table with one field column and one free list per
@@ -89,27 +95,15 @@ func New[P any](physRegs []int) *Table[P] {
 	t := &Table[P]{
 		clusters: clusters,
 		fields:   make([]Mapping[P], isa.NumRegs*clusters),
-		mask:     make([]uint32, isa.NumRegs),
-		home:     make([]int, isa.NumRegs),
-		free:     make([]*FreeList, clusters),
+		regs:     make([]regState, isa.NumRegs),
+		free:     make([]FreeList, clusters),
 	}
-	for c := range t.free {
-		t.free[c] = NewFreeList(physRegs[c])
-	}
-	for r := 0; r < isa.NumRegs; r++ {
-		c := r % clusters
-		t.home[r] = c
-		if !t.free[c].Alloc() {
-			panic("rename: register file too small for initial architectural state")
-		}
-		t.fields[r*clusters+c] = Mapping[P]{Valid: true} // zero provider = ready
-		t.mask[r] = 1 << uint(c)
-	}
+	t.Reset(physRegs)
 	return t
 }
 
 // Reset rewinds the table to its freshly constructed state for a new
-// run, reusing the fields/mask/home arrays and the FreeList objects.
+// run, reusing the fields, per-register and free-list arrays.
 // physRegs must have the same cluster count the table was built with
 // (a shape change requires a new table); Reset panics otherwise, as New
 // would.
@@ -121,16 +115,15 @@ func (t *Table[P]) Reset(physRegs []int) {
 		t.fields[i] = Mapping[P]{}
 	}
 	for c := range t.free {
-		*t.free[c] = FreeList{free: physRegs[c], total: physRegs[c]}
+		t.free[c] = FreeList{free: physRegs[c], total: physRegs[c]}
 	}
 	for r := 0; r < isa.NumRegs; r++ {
 		c := r % t.clusters
-		t.home[r] = c
 		if !t.free[c].Alloc() {
 			panic("rename: register file too small for initial architectural state")
 		}
 		t.fields[r*t.clusters+c] = Mapping[P]{Valid: true} // zero provider = ready
-		t.mask[r] = 1 << uint(c)
+		t.regs[r] = regState{mask: 1 << uint(c), home: int32(c)}
 	}
 }
 
@@ -146,10 +139,10 @@ func (t *Table[P]) Lookup(r isa.RegID, c int) Mapping[P] {
 }
 
 // MappedMask returns the bitmask of clusters where r has a valid mapping.
-func (t *Table[P]) MappedMask(r isa.RegID) uint32 { return t.mask[r] }
+func (t *Table[P]) MappedMask(r isa.RegID) uint32 { return t.regs[r].mask }
 
 // Home returns the cluster of r's current writer.
-func (t *Table[P]) Home(r isa.RegID) int { return t.home[r] }
+func (t *Table[P]) Home(r isa.RegID) int { return int(t.regs[r].home) }
 
 // CanAlloc reports whether cluster c has at least n free registers.
 func (t *Table[P]) CanAlloc(c, n int) bool { return t.free[c].Free() >= n }
@@ -168,14 +161,13 @@ func (t *Table[P]) Rename(r isa.RegID, c int, p P) (freeAtCommit uint32, ok bool
 	if !t.free[c].Alloc() {
 		return 0, false
 	}
-	freeAtCommit = t.mask[r]
+	freeAtCommit = t.regs[r].mask
 	row := t.fields[int(r)*t.clusters : int(r+1)*t.clusters]
 	for m := freeAtCommit; m != 0; m &= m - 1 {
 		row[bits.TrailingZeros32(m)] = Mapping[P]{}
 	}
 	row[c] = Mapping[P]{Valid: true, Provider: p}
-	t.mask[r] = 1 << uint(c)
-	t.home[r] = c
+	t.regs[r] = regState{mask: 1 << uint(c), home: int32(c)}
 	return freeAtCommit, true
 }
 
@@ -192,7 +184,7 @@ func (t *Table[P]) AddCopy(r isa.RegID, c int, p P) bool {
 		return false
 	}
 	t.fields[i] = Mapping[P]{Valid: true, Provider: p}
-	t.mask[r] |= 1 << uint(c)
+	t.regs[r].mask |= 1 << uint(c)
 	return true
 }
 

@@ -11,7 +11,11 @@
 // to 1 and every counter value is bit-identical to the paper's scheme.
 package steer
 
-import "clustervp/internal/config"
+import (
+	"math/bits"
+
+	"clustervp/internal/config"
+)
 
 // Operand is the steering-relevant view of one source operand at
 // dispatch.
@@ -293,20 +297,19 @@ func (s *Steerer) Choose(ops []Operand) int {
 }
 
 // leastIn returns the cluster with the minimum counter among those in
-// mask (nonzero). Ties break toward the lower cluster index.
+// mask (nonzero), visiting only mask's clusters. Ties break toward the
+// lower cluster index.
 func leastIn(counts []int64, mask uint32) int {
-	best := -1
-	var bestCount int64
-	for c := range counts {
-		if mask&(1<<uint(c)) == 0 {
-			continue
-		}
-		if v := counts[c]; best == -1 || v < bestCount {
-			best, bestCount = c, v
-		}
-	}
-	if best == -1 {
+	m := mask & (1<<uint(len(counts)) - 1)
+	if m == 0 {
 		return 0
+	}
+	best := bits.TrailingZeros32(m)
+	bestCount := counts[best]
+	for m &= m - 1; m != 0; m &= m - 1 {
+		if c := bits.TrailingZeros32(m); counts[c] < bestCount {
+			best, bestCount = c, counts[c]
+		}
 	}
 	return best
 }
