@@ -34,16 +34,9 @@ type Resources struct {
 	fpmUnits  int // FP mul/div-capable units touched this cycle
 
 	// Non-pipelined divider occupancy: busyUntil per mul/div-capable
-	// unit and the latest of them, and how many of each kind are held
-	// this cycle (by divides issued in earlier cycles or in this one),
-	// counted once per cycle rather than on every issue, and only while
-	// some divide is still in flight.
+	// unit.
 	intDivBusy []int64
 	fpDivBusy  []int64
-	intBusyMax int64
-	fpBusyMax  int64
-	intHeld    int
-	fpHeld     int
 
 	// Statistics.
 	IssuedTotal uint64
@@ -51,15 +44,12 @@ type Resources struct {
 
 // New builds the resource tracker for one cluster.
 func New(cfg config.ClusterSpec) *Resources {
-	r := &Resources{
+	return &Resources{
 		cfg:        cfg,
 		cycle:      -1,
 		intDivBusy: make([]int64, cfg.FUs.IntMul),
 		fpDivBusy:  make([]int64, cfg.FUs.FPMulDiv),
 	}
-	r.intHeld = divBusyCount(r.intDivBusy, r.cycle)
-	r.fpHeld = divBusyCount(r.fpDivBusy, r.cycle)
-	return r
 }
 
 // Spec returns the cluster's configuration.
@@ -70,23 +60,13 @@ func (r *Resources) Spec() config.ClusterSpec { return r.cfg }
 // on every use and pays the reset once, and a cycle nothing issues in
 // pays none.
 func (r *Resources) BeginCycle(cycle int64) {
-	if cycle != r.cycle {
-		r.begin(cycle)
+	if cycle == r.cycle {
+		return
 	}
-}
-
-func (r *Resources) begin(cycle int64) {
 	r.cycle = cycle
 	r.intIssued, r.fpIssued = 0, 0
 	r.intUnits, r.fpUnits = 0, 0
 	r.mulUnits, r.fpmUnits = 0, 0
-	r.intHeld, r.fpHeld = 0, 0
-	if cycle < r.intBusyMax {
-		r.intHeld = divBusyCount(r.intDivBusy, cycle)
-	}
-	if cycle < r.fpBusyMax {
-		r.fpHeld = divBusyCount(r.fpDivBusy, cycle)
-	}
 }
 
 func (r *Resources) freeDiv(busy []int64) int {
@@ -152,7 +132,7 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 			return false
 		}
 		// Units occupied this cycle include divider-held units.
-		if r.intUnits+r.intHeld >= f.IntALU {
+		if r.intUnits+divBusyCount(r.intDivBusy, r.cycle) >= f.IntALU {
 			return false
 		}
 		if commit {
@@ -177,10 +157,6 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 			r.mulUnits++
 			if !pipelined {
 				r.intDivBusy[u] = r.cycle + int64(latency)
-				r.intBusyMax = max(r.intBusyMax, r.intDivBusy[u])
-				if latency > 0 {
-					r.intHeld++
-				}
 			}
 		}
 		return true
@@ -188,7 +164,7 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 		if r.fpIssued >= r.cfg.IssueFP {
 			return false
 		}
-		if r.fpUnits+r.fpHeld >= f.FPALU {
+		if r.fpUnits+divBusyCount(r.fpDivBusy, r.cycle) >= f.FPALU {
 			return false
 		}
 		if commit {
@@ -213,10 +189,6 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 			r.fpmUnits++
 			if !pipelined {
 				r.fpDivBusy[u] = r.cycle + int64(latency)
-				r.fpBusyMax = max(r.fpBusyMax, r.fpDivBusy[u])
-				if latency > 0 {
-					r.fpHeld++
-				}
 			}
 		}
 		return true
@@ -226,7 +198,9 @@ func (r *Resources) tryIssue(class isa.Class, latency int, pipelined bool, commi
 
 // IntFull reports whether no integer-class instruction (copies
 // included) can issue for the rest of this cycle: the integer issue
-// width or the register-file ports are used up.
+// width or the register-file ports are used up. tryIssue counts the
+// classes for which class.IsFP() holds against the FP width (FPFull)
+// and every other class against the integer width.
 func (r *Resources) IntFull() bool { return r.intIssued >= r.cfg.IssueInt || r.portsFull() }
 
 // FPFull reports whether no FP instruction can issue for the rest of
@@ -243,7 +217,7 @@ func (r *Resources) portsFull() bool {
 // (bounded by unit availability), used by the NREADY imbalance metric.
 func (r *Resources) IdleIntSlots() int {
 	w := r.cfg.IssueInt - r.intIssued
-	u := r.cfg.FUs.IntALU - r.intUnits - r.intHeld
+	u := r.cfg.FUs.IntALU - r.intUnits - divBusyCount(r.intDivBusy, r.cycle)
 	if u < w {
 		w = u
 	}
@@ -256,7 +230,7 @@ func (r *Resources) IdleIntSlots() int {
 // IdleFPSlots returns the unused FP issue width this cycle.
 func (r *Resources) IdleFPSlots() int {
 	w := r.cfg.IssueFP - r.fpIssued
-	u := r.cfg.FUs.FPALU - r.fpUnits - r.fpHeld
+	u := r.cfg.FUs.FPALU - r.fpUnits - divBusyCount(r.fpDivBusy, r.cycle)
 	if u < w {
 		w = u
 	}

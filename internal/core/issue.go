@@ -58,9 +58,9 @@ func (s *Sim) issue(now int64) {
 			b := bits.TrailingZeros64(m)
 			m &^= 1 << uint(b)
 			slot := w<<6 + b
-			// A plain candidate of a cluster whose width for its class
-			// is used up is denied, as TryIssue would deny it, without
-			// loading its entry.
+			// A plain candidate (issueKind) of a cluster whose width for
+			// its class is used up is denied, as TryIssue would deny it,
+			// without loading its entry.
 			if k := s.kind[slot]; k&kindPlain != 0 {
 				cl := k & kindCluster
 				if k&kindFP != 0 {
@@ -84,10 +84,34 @@ func (s *Sim) issue(now int64) {
 	}
 }
 
+// issueKind is e's byte in kind, the summary select reads to deny a
+// candidate without loading it: e's cluster, kindFP for the classes
+// cluster.Resources counts against the FP width (FPFull), and kindPlain
+// when tryIssueEntry applies no gate to e before its cluster's
+// TryIssue. It lists those gates: the load disambiguation and the L1D
+// ports of memory operations, and the route of needsRoute.
+func issueKind(e *entry) uint8 {
+	k := uint8(e.cluster)
+	if e.class.IsFP() {
+		k |= kindFP
+	}
+	if !e.isLoad && !e.isStore && !needsRoute(e) {
+		k |= kindPlain
+	}
+	return k
+}
+
+// needsRoute reports whether e reserves an inter-cluster route to
+// issue: a copy, and a verification-copy that will have to forward
+// (the mismatch is known functionally). Either executes in its
+// producer's cluster (e.cluster) and ships the value to e.dstCluster.
+func needsRoute(e *entry) bool { return e.isCopy || (e.isVC && !e.vcCorrect) }
+
 // tryIssueEntry attempts to issue one ready candidate, consuming L1D
 // ports, bus reservations, issue width and functional units exactly as
 // the reference scan does. Denied candidates keep their ready bit and
-// are retried next cycle.
+// are retried next cycle. A gate added before TryIssue must also clear
+// kindPlain in issueKind.
 func (s *Sim) tryIssueEntry(e *entry, now int64, dports *int, excessInt, excessFP []int) {
 	var fwd *entry
 	if e.isLoad {
@@ -106,12 +130,8 @@ func (s *Sim) tryIssueEntry(e *entry, now int64, dports *int, excessInt, excessF
 		// idle FUs, so port denials are excluded.
 		return
 	}
-	// Route reservation check for copies and for verification-copies
-	// that will have to forward (mismatch known functionally). The
-	// copy executes in its producer's cluster (e.cluster) and ships
-	// the value to e.dstCluster.
-	needsBus := e.isCopy || (e.isVC && !e.vcCorrect)
-	if needsBus && !s.net.CanReserve(cl, int(e.dstCluster), now+1) {
+	// Route reservation check.
+	if needsRoute(e) && !s.net.CanReserve(cl, int(e.dstCluster), now+1) {
 		s.out.BusStalls++
 		return
 	}

@@ -58,8 +58,8 @@ const (
 	// evChunkSize is the event payload of one wheel chunk.
 	evChunkSize = 30
 
-	// kind byte layout: the cluster in the low five bits (MaxClusters
-	// is 32), then the class and issue-path flags.
+	// kind byte layout (issueKind): the cluster in the low five bits
+	// (MaxClusters is 32), then the class and issue-path flags.
 	kindCluster = 1<<5 - 1
 	kindFP      = 1 << 5
 	kindPlain   = 1 << 6
@@ -265,14 +265,7 @@ func (s *Sim) iqEnter(e *entry) {
 	if s.iqCount[e.cluster] > s.iqSize[e.cluster] {
 		s.iqOver |= 1 << uint(e.cluster)
 	}
-	k := uint8(e.cluster)
-	if e.class.IsFP() {
-		k |= kindFP
-	}
-	if !e.isLoad && !e.isStore && !e.isCopy && !(e.isVC && !e.vcCorrect) {
-		k |= kindPlain
-	}
-	s.kind[slot] = k
+	s.kind[slot] = issueKind(e)
 }
 
 func (s *Sim) iqLeave(e *entry) {

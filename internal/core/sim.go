@@ -53,8 +53,11 @@ type Sim struct {
 	net     interconnect.Topology
 	bal     *steer.Balancer
 	str     steer.Chooser
-	table   *rename.Table[eref]
-	res     []*cluster.Resources
+	// pureSteer: str's Choose changes no state (steer.Sequenced), so a
+	// dispatch attempt that cannot succeed need not steer.
+	pureSteer bool
+	table     *rename.Table[eref]
+	res       []*cluster.Resources
 	// Per-cluster constants hoisted out of the spec slice so the hot
 	// loop never chases cfg.Clusters[c]: IQ sizes for the dispatch
 	// structural check and extra bypass cycles for result visibility.
@@ -256,16 +259,8 @@ func (s *Sim) Reset(cfg config.Config, src trace.Source, benchmark string) error
 	s.progEvery, s.progNext = 0, 0
 	s.phaseWarmup, s.phaseSteady, s.phaseDrain = 0, 0, 0
 
-	switch cfg.Steering {
-	case config.SteerRoundRobin:
-		s.str = steer.NewRoundRobin(cfg, s.bal)
-	case config.SteerLoadOnly:
-		s.str = steer.NewLoadOnly(cfg, s.bal)
-	case config.SteerDepFIFO:
-		s.str = steer.NewDepFIFO(cfg, s.bal)
-	default:
-		s.str = steer.New(cfg, s.bal)
-	}
+	s.str = steer.NewChooser(cfg, s.bal)
+	s.pureSteer = !steer.Sequenced(cfg.Steering)
 	switch cfg.VP {
 	case config.VPNone:
 		s.vp = vpred.None{}
@@ -601,10 +596,12 @@ func (s *Sim) analyzeOperands(now int64, f *fetched, nsrc int) int {
 // exhausted and dispatch must retry next cycle. All intermediate
 // per-instruction state lives in Sim-owned scratch buffers.
 func (s *Sim) dispatchOne(now int64, f *fetched) bool {
-	if s.robCount >= s.cfg.ROBSize {
-		// No steering or copy plan fits a full ROB. Skipping the operand
-		// analysis defers nothing observable: the predictor is trained
-		// at the first attempt that analyzes, still in program order.
+	if s.robCount >= s.cfg.ROBSize && s.pureSteer {
+		// A full ROB fits no instruction, so the attempt's analysis and
+		// steering would go unused. Skipping them is invisible when
+		// steering keeps no state, and the predictor is trained at the
+		// first attempt that analyzes, still in program order. A
+		// sequenced steering scheme must see this attempt's Choose.
 		s.out.DispatchStallROB++
 		return false
 	}

@@ -28,6 +28,31 @@ type Chooser interface {
 	Balancer() *Balancer
 }
 
+// NewChooser builds the chooser of cfg.Steering over bal: the paper's
+// Steerer for the baseline, modified and VPB schemes, else the
+// baseline of this file it names.
+func NewChooser(cfg config.Config, bal *Balancer) Chooser {
+	switch cfg.Steering {
+	case config.SteerRoundRobin:
+		return NewRoundRobin(cfg, bal)
+	case config.SteerLoadOnly:
+		return NewLoadOnly(cfg, bal)
+	case config.SteerDepFIFO:
+		return NewDepFIFO(cfg, bal)
+	}
+	return New(cfg, bal)
+}
+
+// Sequenced reports whether the chooser of steering kind k keeps a
+// cyclic sequence that Choose advances: RoundRobin on every call,
+// DepFIFO on every instruction whose operands are all ready. Every
+// other chooser's Choose is a pure function of its operands and the
+// balancer, so a caller may skip a call whose answer it would discard;
+// a Sequenced chooser must see every call.
+func Sequenced(k config.SteeringKind) bool {
+	return k == config.SteerRoundRobin || k == config.SteerDepFIFO
+}
+
 // wrr is a smooth weighted round-robin sequencer: each pick adds every
 // cluster's weight to its credit, selects the highest credit (ties to
 // the lower index) and charges it the weight sum. With uniform weights

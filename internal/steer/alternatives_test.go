@@ -69,3 +69,51 @@ func TestAlternativeSteeringKindsNamed(t *testing.T) {
 		}
 	}
 }
+
+// TestSequencedMatchesChooseState checks Sequenced against behavior:
+// for every steering kind, on a homogeneous and an asymmetric machine,
+// a chooser that makes one extra, discarded Choose per instruction must
+// steer differently from one that does not exactly when the kind is
+// Sequenced. The core relies on this to skip the steering of a dispatch
+// attempt that cannot succeed.
+func TestSequencedMatchesChooseState(t *testing.T) {
+	for _, name := range config.SteeringNames() {
+		k, err := config.ParseSteering(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []config.Config{config.Preset(4).WithSteering(k), asymCfg(k)} {
+			n := len(cfg.IssueWeights())
+			extra := NewChooser(cfg, NewWeightedBalancer(cfg.IssueWeights()))
+			plain := NewChooser(cfg, NewWeightedBalancer(cfg.IssueWeights()))
+			rng := uint64(1)
+			next := func(m uint64) int {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				return int((rng >> 33) % m)
+			}
+			diverged := false
+			for i := 0; i < 2000 && !diverged; i++ {
+				ops := make([]Operand, next(3))
+				for j := range ops {
+					ops[j] = Operand{
+						Available:       next(2) == 0,
+						MappedIn:        uint32(next(1 << uint(n))),
+						ProducerCluster: next(uint64(n)),
+						Predicted:       next(3) == 0,
+					}
+				}
+				extra.Choose(ops)
+				a, b := extra.Choose(ops), plain.Choose(ops)
+				if a != b {
+					diverged = true
+				}
+				extra.Balancer().Dispatched(a)
+				plain.Balancer().Dispatched(b)
+			}
+			if diverged != Sequenced(k) {
+				t.Errorf("%s, %d clusters: an extra Choose changes later choices = %v, Sequenced = %v",
+					name, n, diverged, Sequenced(k))
+			}
+		}
+	}
+}

@@ -67,6 +67,10 @@ func mkGolden(label string) clustervp.Config {
 		return clustervp.Preset(4).WithVP(clustervp.VPTwoDelta).WithSteering(clustervp.SteerVPB)
 	case "4c+vp+vpb+tab256":
 		return vpb(clustervp.Preset(4)).WithVPTable(256)
+	case "4c+vp+rr":
+		return clustervp.Preset(4).WithVP(clustervp.VPStride).WithSteering(clustervp.SteerRoundRobin)
+	case "4c+vp+depfifo":
+		return clustervp.Preset(4).WithVP(clustervp.VPStride).WithSteering(clustervp.SteerDepFIFO)
 	}
 	panic("unknown golden config " + label)
 }
@@ -136,6 +140,19 @@ var golden = []goldenRow{
 	{"4c+vp+vpb+tab256", "cjpeg", 12324, 37208, 8517, 10532, 10122, 0, 4309},
 	{"4c+vp+vpb+tab256", "mesaosdemo", 22951, 54608, 17740, 5973, 17741, 0, 1},
 	{"4c+vp+vpb+tab256", "pgpenc", 50532, 21968, 2141, 2231, 2415, 0, 359},
+	// The round-robin and dependence-FIFO steering baselines, captured
+	// later (commit 8a22f0c). Both advance a cyclic sequence on every
+	// steering decision, including a dispatch attempt that then stalls,
+	// and every row but depfifo/gsmdec fills the ROB thousands of times,
+	// so these rows pin that a stalled attempt still steers.
+	{"4c+vp+rr", "gsmdec", 60773, 64011, 33148, 34299, 33170, 0, 50},
+	{"4c+vp+rr", "cjpeg", 14959, 37208, 22894, 16154, 27630, 0, 5684},
+	{"4c+vp+rr", "mesaosdemo", 28765, 54608, 44084, 8832, 44085, 0, 1},
+	{"4c+vp+rr", "pgpenc", 55049, 21968, 14503, 1737, 14768, 0, 284},
+	{"4c+vp+depfifo", "gsmdec", 41825, 64011, 10719, 10673, 10729, 0, 34},
+	{"4c+vp+depfifo", "cjpeg", 16119, 37208, 5113, 4318, 5823, 0, 2948},
+	{"4c+vp+depfifo", "mesaosdemo", 23987, 54608, 16167, 4503, 16167, 0, 1},
+	{"4c+vp+depfifo", "pgpenc", 50206, 21968, 3237, 1433, 3238, 0, 359},
 }
 
 // TestBusTopologyMatchesSeedGolden runs every golden grid point on the
@@ -144,7 +161,7 @@ var golden = []goldenRow{
 // pre-refactor capture exactly.
 func TestBusTopologyMatchesSeedGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("60-point golden grid in -short mode")
+		t.Skip("68-point golden grid in -short mode")
 	}
 	// One engine: rows sharing a fingerprint (e.g. the tab256 rows, whose
 	// table is larger than any kernel's working set) simulate once.
