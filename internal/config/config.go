@@ -210,6 +210,9 @@ func (s ClusterSpec) Validate() error {
 	if s.RegPorts < 0 || s.BypassLatency < 0 {
 		return fmt.Errorf("register ports (%d) and bypass latency (%d) must be >= 0", s.RegPorts, s.BypassLatency)
 	}
+	if s.BypassLatency > MaxLatency {
+		return fmt.Errorf("bypass latency %d exceeds %d", s.BypassLatency, MaxLatency)
+	}
 	return nil
 }
 
@@ -415,6 +418,12 @@ const MaxClusters = 32
 // whole cycle budget is spent.
 const MaxRenameCycles = 64
 
+// MaxLatency bounds CommLatency and every cluster's BypassLatency. The
+// paper's latencies are a few cycles; one copy slower than the deadlock
+// watchdog's window can only end a run in a deadlock error, after the
+// whole window has been simulated.
+const MaxLatency = 64
+
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
 	n := len(c.Clusters)
@@ -443,6 +452,9 @@ func (c Config) Validate() error {
 	}
 	if err := c.Interconnect().Validate(); err != nil {
 		return fmt.Errorf("config %s: %w", c.Name, err)
+	}
+	if c.CommLatency > MaxLatency {
+		return fmt.Errorf("config %s: comm latency %d exceeds %d", c.Name, c.CommLatency, MaxLatency)
 	}
 	if c.DCachePorts < 1 {
 		return fmt.Errorf("config %s: bad port counts", c.Name)

@@ -92,10 +92,12 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 		mk(func(c *Config) { c.Clusters[0].FUs.FPMulDiv = 2 }),
 		mk(func(c *Config) { c.Clusters[3].RegPorts = -1 }),
 		mk(func(c *Config) { c.Clusters[3].BypassLatency = -2 }),
+		mk(func(c *Config) { c.Clusters[3].BypassLatency = MaxLatency + 1 }),
 		mk(func(c *Config) { c.RetireWidth = 0 }),
 		mk(func(c *Config) { c.RenameCycles = 0 }),
 		mk(func(c *Config) { c.RenameCycles = MaxRenameCycles + 1 }),
 		mk(func(c *Config) { c.CommLatency = 0 }),
+		mk(func(c *Config) { c.CommLatency = MaxLatency + 1 }),
 		mk(func(c *Config) { c.CommPaths = -1 }),
 		mk(func(c *Config) { c.DCachePorts = 0 }),
 		mk(func(c *Config) { c.VP = VPStride; c.VPTableEntries = 100 }),

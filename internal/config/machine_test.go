@@ -139,6 +139,10 @@ func TestMachineSpecErrorsNameTheField(t *testing.T) {
 		// needs an instruction in the ROB, cannot stop it.
 		{MachineSpec{RenameCycles: 1 << 40}, "rename_cycles"},
 		{MachineSpec{RenameCycles: MaxRenameCycles + 1}, "rename_cycles"},
+		// A copy slower than the deadlock watchdog's window can only
+		// end the run in a deadlock error.
+		{MachineSpec{CommLatency: 100030}, "comm latency"},
+		{MachineSpec{Clusters: "4w32q:2w16qb100"}, "bypass latency"},
 	}
 	for _, tc := range cases {
 		_, err := tc.spec.Build()

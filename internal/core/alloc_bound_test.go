@@ -16,7 +16,7 @@ import (
 )
 
 // TestFreshSimAllocBound: constructing a Sim for the paper's 4-cluster
-// VPB machine allocates under 640 KiB — the ring, consumer masks and
+// VPB machine allocates under 640 KiB — the ring, bitmaps and
 // dependence pool are sized by its 128-entry ROB, not by the 512-entry
 // maximum (about 990 KB when they were).
 func TestFreshSimAllocBound(t *testing.T) {

@@ -155,14 +155,9 @@ func TestDepPoolRecyclesChunks(t *testing.T) {
 			t.Fatalf("edge %d has seq %d; append order not preserved: %v", i, seq, got)
 		}
 	}
-	s.releaseDeps(p, 0)
+	s.releaseDeps(p)
 	if p.depHead != noChunk || p.depTail != noChunk {
 		t.Fatal("release left the entry chained")
-	}
-	for _, m := range s.consRow(0) {
-		if m != 0 {
-			t.Fatal("release left consumer-mask bits set")
-		}
 	}
 	q := &s.ring[5]
 	q.seq = 5

@@ -90,8 +90,9 @@ type entry struct {
 
 	// depHead/depTail chain this entry's consumer edges through the
 	// Sim-owned chunk pool (sched.go): the selective-reissue cascade
-	// walks them in append order, and bitmap wakeup ORs the matching
-	// consumer mask. noChunk when the entry has no consumers.
+	// walks them in append order, and completion wakeup flags each
+	// consumer's slot for a recheck. noChunk when the entry has no
+	// consumers.
 	depHead int32
 	depTail int32
 

@@ -17,17 +17,14 @@ package core
 //     than per-cluster because the shared structures it arbitrates —
 //     L1D ports and the inter-cluster buses — are allocated in global
 //     ROB age order; per-cluster ready words are readyW & iqW[c].
-//   - cons row p (words [p*nw, (p+1)*nw)) is producer slot p's consumer
-//     mask: one bit per ring slot holding an entry that named p as a
-//     source provider. Wakeup on producer completion is a word-OR of
-//     that row into recheckW.
 //   - kind holds, per ring slot, what select needs to turn a waiting
 //     entry away without loading it: its cluster, whether its class is
 //     FP, and whether issue checks nothing but the cluster's resources
 //     for it (no load, store, copy or forwarding verification-copy).
 //   - wheel is a timing wheel of wakeup events. A producer pushes one
 //     completion event at issue time, keyed by its doneTime; when it
-//     fires, every flagged consumer recomputes its readiness.
+//     fires, the slot of every consumer on its dependence-edge list is
+//     flagged in recheckW and recomputes its readiness.
 //
 // Events are hints, not truth: firing rechecks recompute readiness from
 // the entry's sources, so stale events (recycled slots, superseded
@@ -100,11 +97,7 @@ type sched struct {
 	iqW      []uint64 // per-cluster valid (waiting) masks, nw words each
 	readyW   []uint64 // global ready mask
 	recheckW []uint64 // per-cycle scratch: slots to recompute
-	cons     []uint64 // per-slot consumer masks, nw words each
-	// consDirty flags ring slots with a nonzero consumer mask, so slot
-	// recycling skips the row clear for the common consumer-less case.
-	consDirty []uint64
-	kind      []uint8 // per-slot cluster and issue flags, set at IQ entry
+	kind     []uint8  // per-slot cluster and issue flags, set at IQ entry
 	// satInt and satFP flag, for the current cycle's select, the
 	// clusters whose integer or FP issue width (or register ports) are
 	// used up; denied flags the clusters with a nonzero count in
@@ -135,34 +128,18 @@ type sched struct {
 // four dependence-edge chunks per ring slot, so a run rarely grows them;
 // on a reused Sim the bitmap storage and pool backing arrays are
 // resliced when large enough and only their contents are rewound.
-// Consumer-mask rows are cleared via consDirty, in the previous run's
-// layout, so the sweep touches only rows a prior run actually wrote and
-// leaves the whole backing array zero before it is re-laid-out.
 func (s *Sim) resetSched(nc int) {
-	for w, m := range s.consDirty {
-		for m != 0 {
-			b := bits.TrailingZeros64(m)
-			m &^= 1 << uint(b)
-			clear(s.consRow(int64(w<<6 + b)))
-		}
-	}
 	slots := len(s.ring)
 	nw := slots >> 6
 	s.nw = nw
 	s.iqW = zeroed(s.iqW, nc*nw)
 	s.readyW = zeroed(s.readyW, nw)
 	s.recheckW = zeroed(s.recheckW, nw)
-	s.consDirty = zeroed(s.consDirty, nw)
 	if cap(s.kind) < slots {
 		s.kind = make([]uint8, slots)
 	} else {
 		s.kind = s.kind[:slots]
 		clear(s.kind)
-	}
-	if cap(s.cons) < slots*nw {
-		s.cons = make([]uint64, slots*nw)
-	} else {
-		s.cons = s.cons[:slots*nw]
 	}
 	for i := range s.wheelHead {
 		s.wheelHead[i], s.wheelTail[i] = noChunk, noChunk
@@ -194,12 +171,6 @@ func zeroed(b []uint64, n int) []uint64 {
 	return b
 }
 
-// consRow is producer slot's consumer mask.
-func (s *sched) consRow(slot int64) []uint64 {
-	i := int(slot) * s.nw
-	return s.cons[i : i+s.nw]
-}
-
 // --- dependence-edge pool ---
 
 // newChunk pops a recycled chunk or extends the pool.
@@ -215,9 +186,9 @@ func (s *Sim) newChunk() int32 {
 }
 
 // addDep records r as a consumer of producer p: appended to p's edge
-// list (order is semantic — the reissue cascade walks edges in append
-// order, and blockingBranch election depends on it) and OR-able via
-// p's consumer mask for bitmap wakeup.
+// list. Order is semantic — the reissue cascade walks edges in append
+// order, and blockingBranch election depends on it; completion wakeup
+// walks the same list.
 func (s *Sim) addDep(p *entry, r eref) {
 	ci := p.depTail
 	if ci == noChunk || s.depPool[ci].n == depChunkSize {
@@ -233,26 +204,15 @@ func (s *Sim) addDep(p *entry, r eref) {
 	c := &s.depPool[ci]
 	c.refs[c.n] = r
 	c.n++
-	pslot := p.seq & s.ringMask
-	cslot := (int64(r) - 1) & s.ringMask
-	s.cons[int(pslot)*s.nw+int(cslot>>6)] |= 1 << uint(cslot&63)
-	s.consDirty[pslot>>6] |= 1 << uint(pslot&63)
 }
 
-// releaseDeps returns e's edge chunks to the free list and clears the
-// recycled slot's consumer mask. slot is passed by the caller rather
-// than derived from e.seq: a virgin slot still carries seq 0, which
-// would otherwise alias the mask of the live entry in slot 0.
-func (s *Sim) releaseDeps(e *entry, slot int64) {
+// releaseDeps returns e's edge chunks to the free list, splicing the
+// whole chain on in one step.
+func (s *Sim) releaseDeps(e *entry) {
 	if e.depHead != noChunk {
-		// Splice the whole chain onto the free list in one step.
 		s.depPool[e.depTail].next = s.depFree
 		s.depFree = e.depHead
 		e.depHead, e.depTail = noChunk, noChunk
-	}
-	if s.consDirty[slot>>6]&(1<<uint(slot&63)) != 0 {
-		s.consDirty[slot>>6] &^= 1 << uint(slot&63)
-		clear(s.consRow(slot))
 	}
 }
 
@@ -328,9 +288,10 @@ func (s *Sim) wakeConsumersAt(p *entry, t, now int64) {
 }
 
 // drainWheel fires this cycle's wakeup events: producer completions
-// word-OR their consumer masks into recheckW, direct rechecks set their
-// own bit, and then every flagged slot recomputes its readiness. The
-// empty-slot test inlines, so a cycle without events makes no call.
+// flag the slots of their edge lists' consumers in recheckW, direct
+// rechecks set their own bit, and then every flagged slot recomputes
+// its readiness. The empty-slot test inlines, so a cycle without events
+// makes no call.
 func (s *Sim) drainWheel(now int64) {
 	if head := s.wheelHead[now&wheelMask]; head != noChunk {
 		s.fireWheel(now, head)
@@ -360,8 +321,12 @@ func (s *Sim) fireWheel(now int64, head int32) {
 					s.wakeConsumersAt(e, e.doneTime, now)
 					continue
 				}
-				for w, m := range s.consRow(slot) {
-					s.recheckW[w] |= m
+				for di := s.ring[slot].depHead; di != noChunk; di = s.depPool[di].next {
+					d := &s.depPool[di]
+					for _, r := range d.refs[:d.n] {
+						cslot := (int64(r) - 1) & s.ringMask
+						s.recheckW[cslot>>6] |= 1 << uint(cslot&63)
+					}
 				}
 			} else {
 				s.recheckW[slot>>6] |= 1 << uint(slot&63)

@@ -66,9 +66,9 @@ type Sim struct {
 
 	// ROB ring of ringSlots(ROBSize) entries; seq maps to slot
 	// seq&ringMask. The cold per-entry payload lives in the ring; the
-	// scheduler-hot state (valid/ready bitmaps, consumer masks, wakeup
-	// wheel, dependence-edge pool) lives in the embedded sched as
-	// parallel arrays indexed by ring slot.
+	// scheduler-hot state (valid/ready bitmaps, wakeup wheel,
+	// dependence-edge pool) lives in the embedded sched as parallel
+	// arrays indexed by ring slot.
 	ring     []entry
 	ringMask int64
 	headSeq  int64
@@ -511,13 +511,11 @@ func (s *Sim) fetch(now int64) {
 }
 
 // alloc claims ring slot seq for a new entry, returning the previous
-// occupant's dependence-edge chunks to the shared pool and clearing the
-// slot's consumer mask. The pool's high-water mark is global, so after
+// occupant's dependence-edge chunks to the shared pool. The pool's high-water mark is global, so after
 // warmup recycling never heap-allocates. The caller advances nextSeq.
 func (s *Sim) alloc(seq int64) *entry {
-	slot := seq & s.ringMask
-	e := &s.ring[slot]
-	s.releaseDeps(e, slot)
+	e := &s.ring[seq&s.ringMask]
+	s.releaseDeps(e)
 	*e = entry{seq: seq, doneTime: 1 << 62, depHead: noChunk, depTail: noChunk}
 	s.robCount++
 	return e
@@ -822,7 +820,7 @@ func (s *Sim) dispatchCopy(now int64, reg isa.RegID, home, cl int, prov eref, vc
 	// visible. A pending issued provider needs no recheck event — every
 	// issued-not-done entry keeps one completion event armed on the
 	// wheel (re-armed on horizon chaining), which fires the
-	// consumer-mask wakeup this addDep just registered for.
+	// edge-list wakeup this addDep just registered for.
 	if p := s.get(prov); p != nil {
 		s.addDep(p, ref(c))
 		if p.done(now) {

@@ -1,18 +1,17 @@
 package runner
 
 // Persistent result caching for the grid engine. The in-memory memo in
-// Engine deduplicates work within one process; a ResultCache extends
-// that across process restarts and across replicas sharing a cache
-// backend: any two jobs with equal Fingerprint() produce identical
+// Engine deduplicates work within one process; a Cache extends that
+// across process restarts and across replicas sharing a cache
+// directory: any two jobs with equal Fingerprint() produce identical
 // Results, so a cached record can be served without re-simulating.
 //
-// The cache is layered: BlobCache owns the entry framing (magic,
-// version, CRC — so a corrupt or truncated entry is detected and
-// treated as a miss, never returned, the same typed-error discipline
-// internal/trace applies to .cvt files) over any BlobStore backend.
-// A local DirStore is the single-box default, and the shared-directory
-// backend fleet replicas use today; an object-store BlobStore slots in
-// without touching the framing.
+// A Cache is a directory of framed entries, one file per key. The frame
+// (magic, version, CRC) means a corrupt or truncated entry is detected
+// and treated as a miss, never returned — the same typed-error
+// discipline internal/trace applies to .cvt files — and a temp file
+// renamed into place means a reader, in this process or another
+// replica, only ever sees a whole entry.
 
 import (
 	"crypto/sha256"
@@ -22,18 +21,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 
 	"clustervp/internal/stats"
 )
-
-// ResultCache persists simulation outcomes keyed by Job.Fingerprint().
-// Get reports a miss (false) for unknown, unreadable or corrupt
-// entries; Put overwrites any existing entry. Implementations must be
-// safe for concurrent use.
-type ResultCache interface {
-	Get(fingerprint string) (stats.Results, bool)
-	Put(fingerprint string, res stats.Results) error
-}
 
 // Typed cache-entry errors, mirroring the internal/trace error style so
 // callers can errors.Is-classify failures without string matching. Get
@@ -60,17 +52,17 @@ const (
 )
 
 // cacheEntry is the JSON payload of one stored record. The full
-// fingerprint rides inside the entry because the blob key only carries
+// fingerprint rides inside the entry because the file name only carries
 // its hash: on read it is compared against the requested key, so a
-// hash collision (or a foreign blob dropped into the backend) reads as
-// corruption, never as a false hit.
+// hash collision (or a foreign file dropped into the directory) reads
+// as corruption, never as a false hit.
 type cacheEntry struct {
 	Fingerprint string        `json:"fingerprint"`
 	Results     stats.Results `json:"results"`
 }
 
-// cacheKey is the blob key an entry for the fingerprint lives at: its
-// KeyDigest keeps keys backend-safe and uniform regardless of what
+// cacheKey is the file name an entry for the fingerprint lives at: its
+// KeyDigest keeps names filesystem-safe and uniform regardless of what
 // characters the fingerprint contains.
 func cacheKey(fingerprint string) string { return KeyDigest(fingerprint) + ".cvr" }
 
@@ -143,19 +135,28 @@ func decodeCacheEntry(fingerprint string, data []byte) (stats.Results, error) {
 	return ent.Results, nil
 }
 
-// BlobCache is a content-addressed ResultCache over any BlobStore. It
-// is as concurrency-safe as its backend: the framing itself holds no
-// state.
-type BlobCache struct {
-	store BlobStore
+// Cache is the persistent result cache: a directory holding one
+// framed entry per fingerprint, named by cacheKey. It is safe for
+// concurrent use by goroutines and by processes sharing the directory:
+// Put publishes atomically and the last writer wins.
+type Cache struct {
+	dir string
 }
 
-// NewBlobCache wraps a blob store in the result-cache framing.
-func NewBlobCache(store BlobStore) *BlobCache { return &BlobCache{store: store} }
+// OpenCache opens (creating if needed) a result cache rooted at dir.
+func OpenCache(dir string) (*Cache, error) {
+	if err := os.MkdirAll(dir, 0o777); err != nil {
+		return nil, err
+	}
+	return &Cache{dir: dir}, nil
+}
 
-// Get implements ResultCache: it returns the cached results for the
-// fingerprint, or a miss for missing, truncated or corrupt entries.
-func (c *BlobCache) Get(fingerprint string) (stats.Results, bool) {
+// Path returns the file the fingerprint's entry lives in.
+func (c *Cache) Path(fingerprint string) string { return filepath.Join(c.dir, cacheKey(fingerprint)) }
+
+// Get returns the cached results for the fingerprint, or a miss for
+// missing, truncated or corrupt entries.
+func (c *Cache) Get(fingerprint string) (stats.Results, bool) {
 	res, err := c.Load(fingerprint)
 	if err != nil {
 		return stats.Results{}, false
@@ -165,23 +166,40 @@ func (c *BlobCache) Get(fingerprint string) (stats.Results, bool) {
 
 // Load is Get with the failure cause: os.ErrNotExist for a missing
 // entry, ErrCacheTruncated/ErrCacheCorrupt for a damaged one.
-func (c *BlobCache) Load(fingerprint string) (stats.Results, error) {
-	data, err := c.store.Get(cacheKey(fingerprint))
+func (c *Cache) Load(fingerprint string) (stats.Results, error) {
+	data, err := os.ReadFile(c.Path(fingerprint))
 	if err != nil {
 		return stats.Results{}, err
 	}
 	return decodeCacheEntry(fingerprint, data)
 }
 
-// Put implements ResultCache: it (over)writes the entry through the
-// backend's atomic publish, so a crash mid-write leaves either the old
-// entry or none — never a torn frame at the published key.
-func (c *BlobCache) Put(fingerprint string, res stats.Results) error {
+// Put (over)writes the fingerprint's entry: it writes a hidden temp
+// file in the same directory, then renames it into place, so a crash
+// mid-write leaves either the old entry or none — never a torn frame
+// under the entry's name. Temp names start with "." so a crashed
+// writer's leftovers can never collide with an entry.
+func (c *Cache) Put(fingerprint string, res stats.Results) error {
 	buf, err := encodeCacheEntry(fingerprint, res)
 	if err != nil {
 		return err
 	}
-	return c.store.Put(cacheKey(fingerprint), buf)
+	tmp, err := os.CreateTemp(c.dir, ".put-*")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(buf); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), c.Path(fingerprint)); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
 }
-
-var _ ResultCache = (*BlobCache)(nil)

@@ -13,6 +13,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"unicode/utf8"
@@ -36,20 +37,18 @@ func testResults(cycles int64) stats.Results {
 	}
 }
 
-// newDirCache opens the on-disk result cache: a BlobCache over a
-// DirStore rooted at dir. Tests reach an entry's file through
-// store.Path(cacheKey(fp)).
-func newDirCache(t testing.TB, dir string) (*BlobCache, *DirStore) {
+// newDirCache opens the on-disk result cache rooted at dir.
+func newDirCache(t testing.TB, dir string) *Cache {
 	t.Helper()
-	store, err := NewDirStore(dir)
+	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewBlobCache(store), store
+	return c
 }
 
 func TestDiskCacheRoundTrip(t *testing.T) {
-	c, _ := newDirCache(t, t.TempDir())
+	c := newDirCache(t, t.TempDir())
 	want := testResults(1234)
 	if _, ok := c.Get("fp1"); ok {
 		t.Fatal("empty cache reported a hit")
@@ -103,11 +102,11 @@ func TestDiskCacheCorruptionIsMiss(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, store := newDirCache(t, t.TempDir())
+			c := newDirCache(t, t.TempDir())
 			if err := c.Put("fp", testResults(42)); err != nil {
 				t.Fatal(err)
 			}
-			path := store.Path(cacheKey("fp"))
+			path := c.Path("fp")
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -129,16 +128,16 @@ func TestDiskCacheCorruptionIsMiss(t *testing.T) {
 // disagrees with the requested key (hash collision, or a stray file) is
 // corruption, not a hit.
 func TestDiskCacheFingerprintMismatch(t *testing.T) {
-	c, store := newDirCache(t, t.TempDir())
+	c := newDirCache(t, t.TempDir())
 	if err := c.Put("other", testResults(7)); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(store.Path(cacheKey("other")))
+	data, err := os.ReadFile(c.Path("other"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Plant the well-formed entry for "other" at the path for "fp".
-	if err := os.WriteFile(store.Path(cacheKey("fp")), data, 0o666); err != nil {
+	if err := os.WriteFile(c.Path("fp"), data, 0o666); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get("fp"); ok {
@@ -152,7 +151,7 @@ func TestDiskCacheFingerprintMismatch(t *testing.T) {
 // TestDiskCacheMissingIsNotExist pins the Load taxonomy: absent entries
 // report os.ErrNotExist, distinct from corruption.
 func TestDiskCacheMissingIsNotExist(t *testing.T) {
-	c, _ := newDirCache(t, t.TempDir())
+	c := newDirCache(t, t.TempDir())
 	if _, err := c.Load("nope"); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("Load of a missing entry = %v, want os.ErrNotExist", err)
 	}
@@ -160,7 +159,7 @@ func TestDiskCacheMissingIsNotExist(t *testing.T) {
 
 // countingEngine builds an engine around a stub simulator that counts
 // invocations, backed by cache.
-func countingEngine(cache ResultCache, calls *int64) *Engine {
+func countingEngine(cache *Cache, calls *int64) *Engine {
 	return New(Options{
 		Workers: 2,
 		Cache:   cache,
@@ -185,7 +184,7 @@ func cacheTestJobs() []Job {
 // rewritten in place.
 func TestEnginePersistentCache(t *testing.T) {
 	dir := t.TempDir()
-	cache, store := newDirCache(t, dir)
+	cache := newDirCache(t, dir)
 	jobs := cacheTestJobs()
 
 	var cold int64
@@ -222,7 +221,7 @@ func TestEnginePersistentCache(t *testing.T) {
 	// Corrupt one entry: the next engine re-simulates exactly that job
 	// and rewrites the entry so a fourth engine hits again.
 	fp := jobs[1].Fingerprint()
-	path := store.Path(cacheKey(fp))
+	path := cache.Path(fp)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +247,7 @@ func TestEnginePersistentCache(t *testing.T) {
 // never written to the persistent cache — a transient failure must not
 // poison future processes.
 func TestEngineCacheSkipsFailedJobs(t *testing.T) {
-	cache, _ := newDirCache(t, t.TempDir())
+	cache := newDirCache(t, t.TempDir())
 	var calls int64
 	boom := errors.New("boom")
 	e := New(Options{Workers: 1, Cache: cache, Run: func(j Job) (stats.Results, error) {
@@ -261,6 +260,98 @@ func TestEngineCacheSkipsFailedJobs(t *testing.T) {
 	}
 	if _, err := cache.Load(job.Fingerprint()); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("failed job left a cache entry (err=%v)", err)
+	}
+}
+
+// TestCachePutOverwrites pins the publish semantics of the cache
+// directory: the last Put wins, and no temp file outlives a publish.
+func TestCachePutOverwrites(t *testing.T) {
+	dir := t.TempDir()
+	c := newDirCache(t, dir)
+	for _, cycles := range []int64{1, 2} {
+		if err := c.Put("k", testResults(cycles)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res, err := c.Load("k"); err != nil || res.Cycles != 2 {
+		t.Fatalf("Load after overwrite = cycles %d, %v; want 2", res.Cycles, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != cacheKey("k") {
+		t.Errorf("cache dir holds %v, want just %s", ents, cacheKey("k"))
+	}
+}
+
+// TestSharedDirConcurrentPublish is the fleet arrangement in miniature:
+// several on-disk caches (distinct handles, as replicas would hold) over
+// ONE directory, concurrently publishing and reading the same
+// fingerprints. Every hit must decode to the exact results some writer
+// published — the CRC framing plus atomic rename make a torn or mixed
+// read impossible. Run under -race.
+func TestSharedDirConcurrentPublish(t *testing.T) {
+	dir := t.TempDir()
+	const replicas, rounds, fps = 3, 25, 4
+
+	caches := make([]*Cache, replicas)
+	for i := range caches {
+		caches[i] = newDirCache(t, dir)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, replicas*rounds*fps)
+	for r, c := range caches {
+		wg.Add(1)
+		go func(r int, c *Cache) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for k := 0; k < fps; k++ {
+					fp := fmt.Sprintf("fp-%d", k)
+					// Identical fingerprint ⇒ identical results, so
+					// concurrent writers race benignly: the cycles value
+					// is a function of the key alone.
+					want := testResults(int64(1000 + k))
+					if err := c.Put(fp, want); err != nil {
+						errs <- fmt.Errorf("replica %d put %s: %w", r, fp, err)
+						return
+					}
+					got, ok := c.Get(fp)
+					if !ok {
+						errs <- fmt.Errorf("replica %d: miss on %s just after publish", r, fp)
+						return
+					}
+					if got.Cycles != want.Cycles || got.Instructions != want.Instructions {
+						errs <- fmt.Errorf("replica %d: torn read on %s: got cycles=%d want %d",
+							r, fp, got.Cycles, want.Cycles)
+						return
+					}
+				}
+			}
+		}(r, c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// After the dust settles every key decodes cleanly on a fresh
+	// handle, and no temp files leaked.
+	fresh := newDirCache(t, dir)
+	for k := 0; k < fps; k++ {
+		fp := fmt.Sprintf("fp-%d", k)
+		if res, err := fresh.Load(fp); err != nil || res.Cycles != int64(1000+k) {
+			t.Errorf("final Load(%s) = cycles %d, err %v", fp, res.Cycles, err)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != fps {
+		t.Errorf("shared dir holds %d files after the storm, want %d", len(ents), fps)
 	}
 }
 

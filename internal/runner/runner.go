@@ -68,14 +68,14 @@ func (j Job) EffectiveScale() int {
 
 // Fingerprint is the canonical memoization key: the full Config value
 // (Name is cosmetic and zeroed out) plus the workload identity — kernel
-// name, effective scale and input seed for in-process synthesis, or a
-// content digest for trace replays. Deriving it from the struct itself
-// means a field added to Config later is covered automatically — at
-// worst a cache miss, never a silent false hit. Two jobs with equal
-// fingerprints produce identical Results, so the engine runs only one
-// of them.
+// name, effective scale and input seed for in-process synthesis, or
+// the content digest for trace replays (TraceKey). Deriving it from the
+// struct itself means a field added to Config later is covered
+// automatically — at worst a cache miss, never a silent false hit. Two
+// jobs with equal fingerprints produce identical Results, so the
+// engine runs only one of them.
 //
-// Trace files are fingerprinted by content (CRC-64 plus size), not by
+// Trace files are fingerprinted by content (trace.Digest), not by
 // path: two grids pointing at byte-identical traces share one
 // simulation, and overwriting a trace file between runs changes the key
 // instead of silently serving stale results. An unreadable trace
@@ -85,12 +85,21 @@ func (j Job) Fingerprint() string {
 	if j.key != "" {
 		return j.key
 	}
+	if j.Trace != "" {
+		return TraceKey(j.Config, traceDigest(j.Trace))
+	}
 	c := j.Config
 	c.Name = ""
-	if j.Trace != "" {
-		return fmt.Sprintf("%+v|trace:%s", c, traceDigest(j.Trace))
-	}
 	return fmt.Sprintf("%+v|%s@%d~%d", c, j.Kernel, j.EffectiveScale(), j.Seed)
+}
+
+// TraceKey is the key of a job replaying the trace with the given
+// trace.Digest under cfg: the one spelling a trace job's key has,
+// whichever process builds it — the engine from a file, a clusterd
+// replica from its store, or a fleet coordinator that holds no trace.
+func TraceKey(cfg config.Config, digest string) string {
+	cfg.Name = ""
+	return fmt.Sprintf("%+v|trace:%s", cfg, digest)
 }
 
 // displayName labels a configuration in progress lines and exported
@@ -134,7 +143,7 @@ const (
 	// ViaMemo: served by the in-process memo (including duplicates that
 	// waited on an in-flight simulation).
 	ViaMemo
-	// ViaCache: served by the persistent ResultCache without simulating.
+	// ViaCache: served by the persistent Cache without simulating.
 	ViaCache
 )
 
@@ -211,7 +220,7 @@ type Options struct {
 	// Cache hits do not count as executed jobs and do not occupy a
 	// worker. Put failures are counted (CachePutErrors) but never fail
 	// the job — a full disk degrades the cache, not the grid.
-	Cache ResultCache
+	Cache *Cache
 }
 
 // entry is one memo slot; ready closes once res/err are set, so
@@ -231,7 +240,7 @@ type Engine struct {
 	workers  int
 	run      func(Job) (stats.Results, error)
 	progress io.Writer
-	cache    ResultCache
+	cache    *Cache
 	sem      chan struct{}
 
 	mu   sync.Mutex
@@ -282,7 +291,7 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) Executed() int64 { return atomic.LoadInt64(&e.finished) }
 
 // CacheHits reports how many memo misses were served from the
-// persistent ResultCache without simulating.
+// persistent Cache without simulating.
 func (e *Engine) CacheHits() int64 { return atomic.LoadInt64(&e.cacheHits) }
 
 // CachePutErrors reports how many cache write-backs failed (the jobs

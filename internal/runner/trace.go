@@ -8,17 +8,14 @@ package runner
 import (
 	"bufio"
 	"fmt"
-	"hash/crc64"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"clustervp/internal/config"
 	"clustervp/internal/trace"
 	"clustervp/internal/workload"
 )
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // fileFacts memoizes what the engine learned about a trace file — its
 // content digest, and whether it verified — keyed by path and
@@ -45,10 +42,10 @@ func factFor(path string, st os.FileInfo) fileFact {
 	return fileFact{size: st.Size(), mtime: st.ModTime().UnixNano()}
 }
 
-// traceDigest returns a content-derived fingerprint component for the
-// trace file at path. Failures fold the error into the fingerprint, so
-// a missing file still memoizes deterministically (and re-checks once
-// it appears, via the stat revalidation).
+// traceDigest returns the trace.Digest of the file at path. Failures
+// fold the error into the result, so a missing file still memoizes
+// deterministically (and re-checks once it appears, via the stat
+// revalidation).
 func traceDigest(path string) string {
 	st, err := os.Stat(path)
 	if err != nil {
@@ -63,14 +60,24 @@ func traceDigest(path string) string {
 		return fmt.Sprintf("%s!%v", path, err)
 	}
 	defer f.Close()
-	h := crc64.New(crcTable)
-	n, err := io.Copy(h, bufio.NewReaderSize(f, 1<<16))
-	if err != nil {
+	if fact.digest, err = trace.Digest(bufio.NewReaderSize(f, 1<<16)); err != nil {
 		return fmt.Sprintf("%s!%v", path, err)
 	}
-	fact.digest = fmt.Sprintf("crc64:%016x:%d", h.Sum64(), n)
 	fileFacts.Store(path, fact)
 	return fact.digest
+}
+
+// StoredTraceJob is the keyed job replaying the trace a content-
+// addressed trace.Store holds at path under digest. The store's file
+// name is its digest, so the file is not hashed again: the digest is
+// remembered for path, where the arena looks it up.
+func StoredTraceJob(cfg config.Config, path, digest string) Job {
+	if st, err := os.Stat(path); err == nil {
+		fact := factFor(path, st)
+		fact.digest = digest
+		fileFacts.Store(path, fact)
+	}
+	return Job{Config: cfg, Trace: path, key: TraceKey(cfg, digest)}
 }
 
 // TracePath names the .cvt file MaterializeTraces writes for a

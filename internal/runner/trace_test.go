@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"clustervp/internal/config"
+	"clustervp/internal/trace"
 )
 
 // TestTraceReplayMatchesInProcess is the engine-level half of the
@@ -144,6 +145,46 @@ func TestTraceFingerprint(t *testing.T) {
 	seeded.Seed = 42
 	if base.Fingerprint() == seeded.Fingerprint() {
 		t.Error("input seed not covered by the fingerprint")
+	}
+}
+
+// TestTraceKeyOneName: a trace has one name wherever it is keyed. A
+// job over the file, the job a trace store's copy yields, and TraceKey
+// over the store's digest (what a fleet coordinator computes) are the
+// same key, and the store's digest is trace.Digest of the file.
+func TestTraceKeyOneName(t *testing.T) {
+	dir := t.TempDir()
+	cfg := config.Preset(2).WithVP(config.VPStride)
+	jobs, err := MaterializeTraces(dir, []Job{{Config: cfg, Kernel: "rawcaudio", Scale: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := trace.NewStore(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, _, err := store.PutFile(jobs[0].Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := traceDigest(jobs[0].Trace); got != digest {
+		t.Fatalf("file digest %s, store digest %s", got, digest)
+	}
+	path, err := store.Path(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := cfg
+	named.Name = "cosmetic"
+	want := TraceKey(named, digest)
+	for name, got := range map[string]string{
+		"file job":   jobs[0].Fingerprint(),
+		"stored job": StoredTraceJob(cfg, path, digest).Fingerprint(),
+		"store path": Job{Config: cfg, Trace: path}.Fingerprint(),
+	} {
+		if got != want {
+			t.Errorf("%s key %q, want TraceKey's %q", name, got, want)
+		}
 	}
 }
 

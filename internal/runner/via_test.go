@@ -18,7 +18,7 @@ func TestResultVia(t *testing.T) {
 		return stats.Results{Benchmark: j.Kernel, Cycles: 10, Instructions: 100}, nil
 	}
 	newEngine := func() *Engine {
-		cache, _ := newDirCache(t, cacheDir)
+		cache := newDirCache(t, cacheDir)
 		return New(Options{Workers: 2, Cache: cache, Run: run})
 	}
 

@@ -85,8 +85,7 @@ func (e *APIError) Error() string {
 }
 
 // apiError decodes a non-2xx reply into *APIError: the versioned
-// envelope first, the pre-envelope {"error": "..."} shape as a
-// fallback, and the raw body as a last resort — an old server or a
+// envelope, or else the raw body as the message — an old server or a
 // proxy in the middle still yields a useful error.
 func apiError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
@@ -102,13 +101,6 @@ func apiError(resp *http.Response) error {
 		if env.Error.RetryAfterSec > 0 {
 			out.RetryAfterSec = env.Error.RetryAfterSec
 		}
-		return out
-	}
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &legacy) == nil && legacy.Error != "" {
-		out.Message = legacy.Error
 		return out
 	}
 	out.Message = strings.TrimSpace(string(body))

@@ -160,12 +160,12 @@ type dispatcher struct {
 
 func (d *dispatcher) Names() (string, string) { return "coordinator", "f" }
 
-// TraceJob keys a trace job by the trace's digest, which stands in for
-// the local path a replica replays it from: the key is identical no
-// matter which box stores the trace.
+// TraceJob keys a trace job by runner.TraceKey, as the replica that
+// runs it does: the coordinator holds no trace, and needs none to name
+// the job, its shard and its cache file.
 func (d *dispatcher) TraceJob(cfg config.Config, digest string) (runner.Job, string, error) {
 	cfg.Name = ""
-	return runner.Job{Config: cfg}, fmt.Sprintf("%+v|trace:%s", cfg, digest), nil
+	return runner.Job{Config: cfg}, runner.TraceKey(cfg, digest), nil
 }
 
 // Free bounds the in-flight jobs, and takes none while no replica is

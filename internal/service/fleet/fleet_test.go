@@ -32,6 +32,9 @@ type testFleet struct {
 	replicas []*service.Server
 	servers  []*httptest.Server
 	executed []*atomic.Int64 // per-replica completed simulations
+	// cacheDir and traceDir are the result cache and trace store every
+	// replica shares.
+	cacheDir, traceDir string
 }
 
 // newTestFleet boots n replicas and a coordinator. runFor(i) supplies
@@ -39,8 +42,7 @@ type testFleet struct {
 // coordinator options.
 func newTestFleet(t *testing.T, n int, runFor func(i int) func(runner.Job) (stats.Results, error), mutate func(*Options)) *testFleet {
 	t.Helper()
-	tf := &testFleet{}
-	cacheDir := t.TempDir() // one shared blob dir — the fleet cache backend
+	tf := &testFleet{cacheDir: t.TempDir(), traceDir: t.TempDir()}
 	var urls []string
 	for i := 0; i < n; i++ {
 		counter := &atomic.Int64{}
@@ -59,7 +61,7 @@ func newTestFleet(t *testing.T, n int, runFor func(i int) func(runner.Job) (stat
 			}
 			return res, err
 		}
-		s, err := service.New(service.Options{Workers: 1, CacheDir: cacheDir, Run: counted})
+		s, err := service.New(service.Options{Workers: 1, CacheDir: tf.cacheDir, TraceDir: tf.traceDir, Run: counted})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,12 +5,15 @@ package fleet
 // admission→queue→dispatch→simulate across processes), a failover
 // resubmission shows up as a second fleet.dispatch span under the same
 // parent, and the merged /trace endpoint stitches both processes'
-// spans together.
+// spans together, and a trace job carries one key on both sides of
+// the hop.
 
 import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +25,8 @@ import (
 	"clustervp/internal/service/client"
 	"clustervp/internal/service/servicetest"
 	"clustervp/internal/stats"
+	"clustervp/internal/trace"
+	"clustervp/internal/workload"
 )
 
 // dispatchSpans filters a span set to the coordinator's per-attempt
@@ -192,5 +197,65 @@ func TestFailoverSecondDispatchSpan(t *testing.T) {
 	if byAttempt["0"].Attrs["replica"] == byAttempt["1"].Attrs["replica"] {
 		t.Errorf("both attempts hit %q; the resubmission should have moved on",
 			byAttempt["0"].Attrs["replica"])
+	}
+}
+
+// spanAttr polls the collectors for the first span of the trace that
+// carries attr, and returns its value: a job's root span is recorded
+// when it ends, a little after the job's terminal status.
+func spanAttr(t *testing.T, traceID, attr string, cs ...*obs.Collector) string {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, c := range cs {
+			for _, sp := range c.TraceSpans(traceID) {
+				if v := sp.Attrs[attr]; v != "" {
+					return v
+				}
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return ""
+}
+
+// TestFleetTraceJobKeyedAlike: a trace job run through the coordinator
+// has one key on both sides of the hop. The coordinator's shard key is
+// the digest the executing replica names the job by, and the shared
+// result cache holds the entry under that name.
+func TestFleetTraceJobKeyedAlike(t *testing.T) {
+	tf := newTestFleet(t, 2, func(int) func(runner.Job) (stats.Results, error) {
+		return func(runner.Job) (stats.Results, error) { return stats.Results{Cycles: 1}, nil }
+	}, nil)
+	prog, err := workload.Build("rawcaudio", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.cvt")
+	if _, err := trace.WriteFile(path, prog.Name, prog.Code, trace.NewExecutor(prog)); err != nil {
+		t.Fatal(err)
+	}
+	digest, _, err := tf.replicas[0].TraceStore().PutFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := tf.co.Submit(service.JobRequest{Machine: config.MachineSpec{Clusters: "2"}, TraceDigest: digest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitJob(t, tf.co, st.ID); fin.State != service.StateDone {
+		t.Fatalf("trace job = %+v", fin)
+	}
+	shardKey := spanAttr(t, st.TraceID, "shard_key", tf.co.Spans())
+	if shardKey == "" {
+		t.Fatal("coordinator recorded no shard_key")
+	}
+	replicaKey := spanAttr(t, st.TraceID, "fingerprint", tf.replicas[0].Spans(), tf.replicas[1].Spans())
+	if replicaKey != shardKey {
+		t.Errorf("replica keyed the job %q, the coordinator %q", replicaKey, shardKey)
+	}
+	if _, err := os.Stat(filepath.Join(tf.cacheDir, shardKey+".cvr")); err != nil {
+		t.Errorf("shared cache holds no entry named by the shard key: %v", err)
 	}
 }

@@ -45,13 +45,13 @@ type local struct {
 // newLocal opens the server's result cache and trace store, builds its
 // engine and starts the workers.
 func newLocal(s *Server) (*local, error) {
-	var cache runner.ResultCache
+	var cache *runner.Cache
 	if s.opts.CacheDir != "" {
-		store, err := runner.NewDirStore(s.opts.CacheDir)
+		c, err := runner.OpenCache(s.opts.CacheDir)
 		if err != nil {
 			return nil, fmt.Errorf("service: result cache: %w", err)
 		}
-		cache = runner.NewBlobCache(store)
+		cache = c
 	}
 	if s.opts.TraceDir != "" {
 		st, err := trace.NewStore(s.opts.TraceDir)
@@ -89,7 +89,7 @@ func (l *local) TraceJob(cfg config.Config, digest string) (runner.Job, string, 
 	if !store.Has(digest) {
 		return runner.Job{}, "", fmt.Errorf("%w: trace %s not uploaded", ErrBadRequest, digest)
 	}
-	rj := runner.Job{Config: cfg, Trace: path}.Keyed()
+	rj := runner.StoredTraceJob(cfg, path, digest)
 	return rj, rj.Fingerprint(), nil
 }
 

@@ -22,6 +22,17 @@ import (
 // DigestPrefix tags store digests with their hash algorithm.
 const DigestPrefix = "sha256:"
 
+// Digest reads r to its end and returns the SHA-256 of its bytes in
+// the store's form, "sha256:<64 lowercase hex>": the one name a
+// trace's content has, in the store, in job keys and in the arena.
+func Digest(r io.Reader) (string, error) {
+	h := sha256.New()
+	if _, err := io.Copy(h, r); err != nil {
+		return "", err
+	}
+	return DigestPrefix + hex.EncodeToString(h.Sum(nil)), nil
+}
+
 // Store is a directory of content-addressed .cvt traces. It is safe
 // for concurrent use: writes go through temp files and a rename, and
 // content addressing makes concurrent stores of the same bytes
@@ -99,15 +110,14 @@ func (s *Store) Put(r io.Reader) (digest string, records uint64, err error) {
 		tmp.Close()
 		os.Remove(tmp.Name())
 	}()
-	h := sha256.New()
-	if _, err := io.Copy(tmp, io.TeeReader(r, h)); err != nil {
+	digest, err = Digest(io.TeeReader(r, tmp))
+	if err != nil {
 		return "", 0, err
 	}
 	records, err = verifyFile(tmp)
 	if err != nil {
 		return "", 0, err
 	}
-	digest = DigestPrefix + hex.EncodeToString(h.Sum(nil))
 	path, err := s.Path(digest)
 	if err != nil {
 		return "", 0, err
